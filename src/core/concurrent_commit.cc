@@ -8,7 +8,7 @@
 namespace pccheck {
 namespace {
 
-/** Backoff between free-slot polls, seconds (short; slots free in ms). */
+/** Backoff between retries of a transiently full slot enqueue. */
 constexpr Seconds kSlotBackoff = 20e-6;
 
 }  // namespace
@@ -91,14 +91,9 @@ ConcurrentCommit::begin()
         MetricsRegistry::global().histogram("pccheck.stage.slot_wait");
     StageSpan span("commit.slot_wait", wait_hist, "counter",
                    ticket.counter);
-    for (;;) {
-        const auto slot = free_slots_->try_dequeue();
-        if (slot.has_value()) {
-            ticket.slot = *slot;
-            return ticket;
-        }
-        clock_->sleep_for(kSlotBackoff);
-    }
+    ticket.slot =
+        slot_waiters_.take([this] { return free_slots_->try_dequeue(); });
+    return ticket;
 }
 
 bool
@@ -167,23 +162,11 @@ ConcurrentCommit::commit(const CheckpointTicket& ticket, Bytes data_len,
                     if (!store_->is_quarantined(old_slot) &&
                         parked_[old_slot].exchange(
                             false, std::memory_order_acq_rel)) {
-                        while (!free_slots_->try_enqueue(old_slot)) {
-                            clock_->sleep_for(kSlotBackoff);
-                        }
+                        recycle(old_slot);
                         result.freed_slot = old_slot;
                     }
                 } else if (old_slot != kNoSlot) {
-                    // try_enqueue can report a transient "full" while a
-                    // concurrent dequeuer sits between claiming a cell
-                    // and releasing its sequence word (found by
-                    // mc_check, docs/MODEL_CHECKING.md). The queue is
-                    // never arithmetically full here — at most
-                    // slot_count-1 slots are free when a superseded
-                    // slot is recycled — so backing off until the
-                    // dequeuer finishes always terminates.
-                    while (!free_slots_->try_enqueue(old_slot)) {
-                        clock_->sleep_for(kSlotBackoff);
-                    }
+                    recycle(old_slot);
                     result.freed_slot = old_slot;
                 }
                 result.published = true;
@@ -204,9 +187,7 @@ ConcurrentCommit::commit(const CheckpointTicket& ticket, Bytes data_len,
                 if (check_addr_.compare_exchange_strong(
                         still_mine, expected,
                         std::memory_order_acq_rel)) {
-                    while (!free_slots_->try_enqueue(ticket.slot)) {
-                        clock_->sleep_for(kSlotBackoff);
-                    }
+                    recycle(ticket.slot);
                     result.freed_slot = ticket.slot;
                 }
                 // relaxed: monitoring counter, no ordering required.
@@ -226,11 +207,8 @@ ConcurrentCommit::commit(const CheckpointTicket& ticket, Bytes data_len,
         }
         // Lines 29-31: a more recent checkpoint is already registered
         // (and its publisher persists it); our data is superseded, so
-        // recycle our own slot. Same transient-full retry as the
-        // winner path above.
-        while (!free_slots_->try_enqueue(ticket.slot)) {
-            clock_->sleep_for(kSlotBackoff);
-        }
+        // recycle our own slot.
+        recycle(ticket.slot);
         // relaxed: monitoring counter, no ordering required.
         losses_.fetch_add(1, std::memory_order_relaxed);
         result.freed_slot = ticket.slot;
@@ -241,10 +219,7 @@ ConcurrentCommit::commit(const CheckpointTicket& ticket, Bytes data_len,
 void
 ConcurrentCommit::abort(const CheckpointTicket& ticket)
 {
-    // Same transient-full retry as commit(); see the winner path.
-    while (!free_slots_->try_enqueue(ticket.slot)) {
-        clock_->sleep_for(kSlotBackoff);
-    }
+    recycle(ticket.slot);
     // relaxed: monitoring counter, no ordering required.
     aborts_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -262,10 +237,22 @@ ConcurrentCommit::restore_slot(std::uint32_t slot)
     if (!parked_[slot].exchange(false, std::memory_order_acq_rel)) {
         return;
     }
-    // Same transient-full retry as commit(); see the winner path.
+    recycle(slot);
+}
+
+void
+ConcurrentCommit::recycle(std::uint32_t slot)
+{
+    // try_enqueue can report a transient "full" while a concurrent
+    // dequeuer sits between claiming a cell and releasing its sequence
+    // word (found by mc_check, docs/MODEL_CHECKING.md). The queue is
+    // never arithmetically full here — at most slot_count-1 slots are
+    // free when one is returned — so backing off until the dequeuer
+    // finishes always terminates.
     while (!free_slots_->try_enqueue(slot)) {
         clock_->sleep_for(kSlotBackoff);
     }
+    slot_waiters_.wake();
 }
 
 void

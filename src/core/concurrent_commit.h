@@ -42,6 +42,7 @@
 #include "core/slot_store.h"
 #include "faults/retry.h"
 #include "util/clock.h"
+#include "util/parking_lot.h"
 #include "util/sync.h"
 
 namespace pccheck {
@@ -71,7 +72,7 @@ class ConcurrentCommit {
     /**
      * @param store formatted slot arena (slot_count = N + 1)
      * @param queue_kind free-slot queue implementation (ablation)
-     * @param clock used for the bounded backoff while awaiting a slot
+     * @param clock paces the retry of a transiently full slot enqueue
      */
     explicit ConcurrentCommit(
         SlotStore& store,
@@ -80,9 +81,9 @@ class ConcurrentCommit {
 
     /**
      * Start a checkpoint: returns a ticket with a fresh counter and a
-     * reserved slot. Blocks (with backoff) while all N slots are in
-     * flight — this is the training stall of §3.2 when DRAM/storage
-     * cannot keep up.
+     * reserved slot. Parks while all N slots are in flight until a
+     * commit, abort or restore returns one — this is the training
+     * stall of §3.2 when DRAM/storage cannot keep up.
      */
     CheckpointTicket begin();
 
@@ -207,9 +208,13 @@ class ConcurrentCommit {
     static std::uint64_t counter_of(std::uint64_t packed);
     static std::uint32_t slot_of(std::uint64_t packed);
 
+    /** Return @p slot to the free queue and wake parked begin()s. */
+    void recycle(std::uint32_t slot);
+
     SlotStore* store_;
     const Clock* clock_;
     std::unique_ptr<FreeSlotQueue> free_slots_;
+    ParkingLot slot_waiters_;  ///< begin() callers out of free slots
     /** Slot i was withheld from the free pool for quarantine (true
      *  until restore_slot re-admits it). Guards against restoring a
      *  slot the pool never lost. */

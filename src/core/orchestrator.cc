@@ -15,7 +15,7 @@
 namespace pccheck {
 namespace {
 
-/** Backoff while waiting for a free staging buffer. */
+/** Backoff between retries of a transiently full buffer enqueue. */
 constexpr Seconds kBufferBackoff = 20e-6;
 
 /** Cap on the shared writer pool size. */
@@ -413,13 +413,8 @@ PCcheckCheckpointer::acquire_chunk_buffer()
         MetricsRegistry::global().histogram(
             "pccheck.stage.buffer_wait");
     StageSpan span("snapshot.buffer_wait", wait_hist);
-    for (;;) {
-        const auto buffer = free_buffers_->try_dequeue();
-        if (buffer.has_value()) {
-            return *buffer;
-        }
-        clock_->sleep_for(kBufferBackoff);
-    }
+    return buffer_waiters_.take(
+        [this] { return free_buffers_->try_dequeue(); });
 }
 
 void
@@ -435,6 +430,7 @@ PCcheckCheckpointer::release_chunk_buffer(std::uint8_t* buffer)
     while (!free_buffers_->try_enqueue(buffer)) {
         clock_->sleep_for(kBufferBackoff);
     }
+    buffer_waiters_.wake();
 }
 
 void
@@ -710,6 +706,11 @@ PCcheckCheckpointer::on_checkpoint_complete(std::uint64_t iteration,
     static Gauge& latency_gauge =
         MetricsRegistry::global().gauge("pccheck.checkpoint.latency_s");
     const Seconds latency = clock_->now() - request_time;
+    // Count before completed_ advances: finish() may return, and its
+    // caller read the counter, as soon as it does.
+    MetricsRegistry::global()
+        .counter("pccheck.checkpoints.completed")
+        .add();
     {
         MutexLock lock(mu_);
         ++completed_;
@@ -724,9 +725,6 @@ PCcheckCheckpointer::on_checkpoint_complete(std::uint64_t iteration,
     // this object's critical section (blocking-under-lock).
     latency_hist.observe(latency);
     latency_gauge.set(latency);
-    MetricsRegistry::global()
-        .counter("pccheck.checkpoints.completed")
-        .add();
 }
 
 void
@@ -734,15 +732,16 @@ PCcheckCheckpointer::on_checkpoint_aborted(std::uint64_t iteration)
 {
     LOG_WARN("pccheck: aborted checkpoint attempt for iteration "
              << iteration << " after storage failure");
+    // Count before aborted_ advances; see on_checkpoint_complete.
+    MetricsRegistry::global()
+        .counter("pccheck.checkpoints.aborted")
+        .add();
     {
         MutexLock lock(mu_);
         ++aborted_;
         // Notify under the lock: see on_checkpoint_complete.
         complete_cv_.notify_all();
     }
-    MetricsRegistry::global()
-        .counter("pccheck.checkpoints.aborted")
-        .add();
 }
 
 }  // namespace pccheck

@@ -44,6 +44,7 @@
 #include "trainsim/checkpointer.h"
 #include "trainsim/training_state.h"
 #include "util/annotations.h"
+#include "util/parking_lot.h"
 
 namespace pccheck {
 
@@ -185,6 +186,7 @@ class PCcheckCheckpointer final : public Checkpointer {
     /** Staging arena + free-buffer queue (step ② of Fig. 5). */
     std::vector<std::uint8_t> staging_;
     std::unique_ptr<MpmcBoundedQueue<std::uint8_t*>> free_buffers_;
+    ParkingLot buffer_waiters_;  ///< snapshot thread out of buffers
 
     /** Request queue feeding the snapshot worker. */
     mutable Mutex mu_;

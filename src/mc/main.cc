@@ -23,6 +23,7 @@
  * 2 = usage error.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -45,6 +46,8 @@ struct Args {
     Mutation mutation = Mutation::kNone;
     int threads = 3;
     int checkpoints = 1;
+    /** Slot arena size; 0 = threads + 1 (the paper's N + 1). */
+    int slots = 0;
     int bound = 2;
     std::size_t schedules = 10000;
     std::size_t max_executions = 2000000;
@@ -67,6 +70,8 @@ bool parse_mutation(const std::string& name, Mutation* out)
         *out = Mutation::kTicketReuse;
     } else if (name == "no_fence") {
         *out = Mutation::kNoFence;
+    } else if (name == "lost_wakeup") {
+        *out = Mutation::kLostWakeup;
     } else {
         return false;
     }
@@ -84,6 +89,8 @@ const char* mutation_name(Mutation m)
         return "ticket_reuse";
       case Mutation::kNoFence:
         return "no_fence";
+      case Mutation::kLostWakeup:
+        return "lost_wakeup";
     }
     return "?";
 }
@@ -93,6 +100,7 @@ ModelConfig config_from(const Args& args)
     ModelConfig config;
     config.threads = args.threads;
     config.checkpoints_per_thread = args.checkpoints;
+    config.slot_count = static_cast<std::uint32_t>(args.slots);
     config.queue_kind = args.queue;
     config.use_mini = args.model == "mini";
     return config;
@@ -111,10 +119,13 @@ int run_dfs(const Args& args)
     const ExploreResult r =
         explore_dfs(make_run_fn(config, args.mutation), args.threads,
                     args.bound, args.max_executions);
-    std::printf("[mc] dfs model=%s mutation=%s threads=%d bound=%d "
-                "executions=%zu violations=%zu%s\n",
+    std::printf("[mc] dfs model=%s mutation=%s threads=%d slots=%u "
+                "checkpoints=%d bound=%d executions=%zu violations=%zu%s\n",
                 args.model.c_str(), mutation_name(args.mutation),
-                args.threads, args.bound, r.executions, r.violations,
+                args.threads, config.slot_count != 0
+                                  ? config.slot_count
+                                  : static_cast<unsigned>(args.threads) + 1,
+                args.checkpoints, args.bound, r.executions, r.violations,
                 r.truncated ? " TRUNCATED" : "");
     if (r.violations != 0) {
         std::printf("[mc] VIOLATION: %s\n", r.first_message.c_str());
@@ -360,6 +371,13 @@ bool check_mutation(const Args& args, Mutation mutation)
 {
     const char* name = mutation_name(mutation);
     ModelConfig config = config_from(args);
+    if (mutation == Mutation::kLostWakeup && args.slots == 0) {
+        // A lost wake only strands a parked begin(): starve the arena
+        // (one slot per thread) and give each thread a second
+        // checkpoint so takers park behind winners' recycles.
+        config.slot_count = static_cast<std::uint32_t>(args.threads);
+        config.checkpoints_per_thread = std::max(args.checkpoints, 2);
+    }
 
     std::string token_text;
     std::string message;
@@ -390,6 +408,13 @@ bool check_mutation(const Args& args, Mutation mutation)
         token_text = r.first_token;
         message = r.first_message;
     }
+    if (mutation == Mutation::kLostWakeup &&
+        message.rfind("deadlock", 0) != 0) {
+        std::printf("[mc] mutation %s: caught as '%s', expected a "
+                    "deadlock\n",
+                    name, message.c_str());
+        return false;
+    }
 
     // The token must deterministically reproduce the violation.
     const auto token = decode_token(token_text);
@@ -413,7 +438,15 @@ bool check_mutation(const Args& args, Mutation mutation)
         return false;
     }
     std::printf("[mc] mutation %s: caught (%s)\n", name, message.c_str());
-    std::printf("[mc] mutation %s: replay %s\n", name, token_text.c_str());
+    if (config.slot_count != 0) {
+        std::printf("[mc] mutation %s: replay %s --slots %u "
+                    "--checkpoints %d\n",
+                    name, token_text.c_str(), config.slot_count,
+                    config.checkpoints_per_thread);
+    } else {
+        std::printf("[mc] mutation %s: replay %s\n", name,
+                    token_text.c_str());
+    }
     return true;
 }
 
@@ -424,6 +457,7 @@ int run_mutations(const Args& args)
     ok = check_mutation(args, Mutation::kBlindStore) && ok;
     ok = check_mutation(args, Mutation::kTicketReuse) && ok;
     ok = check_mutation(args, Mutation::kNoFence) && ok;
+    ok = check_mutation(args, Mutation::kLostWakeup) && ok;
     if (ok) {
         std::printf("[mc] all mutation variants caught\n");
     }
@@ -437,12 +471,14 @@ int usage()
         "usage: mc_check [--mode "
         "dfs|pct|crash|delta-crash|recovery-crash|mutations|replay]\n"
         "                [--model listing1|mini] "
-        "[--mutation none|blind_store|ticket_reuse|no_fence]\n"
+        "[--mutation none|blind_store|ticket_reuse|no_fence|"
+        "lost_wakeup]\n"
         "                [--delta-mutation "
         "all|none|ack_before_payload|reset_before_publish]\n"
         "                [--recovery-mutation "
         "all|none|repair_over_last_good]\n"
-        "                [--threads N] [--checkpoints N] [--bound N]\n"
+        "                [--threads N] [--checkpoints N] [--slots N] "
+        "[--bound N]\n"
         "                [--schedules N] [--seed N] "
         "[--queue vyukov|ms|mutex]\n"
         "                [--token <replay token>]\n");
@@ -470,6 +506,8 @@ int run(int argc, char** argv)
             args.threads = std::atoi(value);
         } else if (flag == "--checkpoints" && (value = next())) {
             args.checkpoints = std::atoi(value);
+        } else if (flag == "--slots" && (value = next())) {
+            args.slots = std::atoi(value);
         } else if (flag == "--bound" && (value = next())) {
             args.bound = std::atoi(value);
         } else if (flag == "--schedules" && (value = next())) {
@@ -497,7 +535,10 @@ int run(int argc, char** argv)
             return usage();
         }
     }
-    if (args.threads < 1 || args.threads > 16 || args.checkpoints < 1) {
+    // One slot would deadlock the faithful protocol: the first commit
+    // registers it and no begin() can ever take another.
+    if (args.threads < 1 || args.threads > 16 || args.checkpoints < 1 ||
+        args.slots == 1 || args.slots < 0 || args.slots > 64) {
         return usage();
     }
     if (args.mode == "dfs") {

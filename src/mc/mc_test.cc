@@ -271,6 +271,30 @@ TEST(Mutations, BlindStoreCaught)
     EXPECT_TRUE(replayed.violated);
 }
 
+TEST(Mutations, LostWakeupDeadlocksWhenSlotStarved)
+{
+    // One slot per thread: begin() parks behind in-flight checkpoints,
+    // so a recycle without its wake strands the parked thread.
+    ModelConfig config;
+    config.slot_count = 3;
+    config.checkpoints_per_thread = 2;
+    const ExploreResult r = explore_dfs(
+        make_run_fn(config, Mutation::kLostWakeup), config.threads,
+        /*preemption_bound=*/2, /*max_executions=*/200000);
+    ASSERT_GT(r.violations, 0u);
+    EXPECT_EQ(r.first_message.rfind("deadlock", 0), 0u) << r.first_message;
+    const auto token = decode_token(r.first_token);
+    ASSERT_TRUE(token.has_value());
+    CommitModel model(config, Mutation::kLostWakeup);
+    PrefixStrategy replay(token->choices);
+    EXPECT_EQ(model.run(replay).message, r.first_message);
+    // The same schedule with every wake in place completes.
+    config.use_mini = true;
+    CommitModel faithful(config, Mutation::kNone);
+    PrefixStrategy again(token->choices);
+    EXPECT_FALSE(faithful.run(again).violated);
+}
+
 // ---- crash enumeration ----
 
 TEST(CrashEnum, Listing1HasNoUnrecoverableImage)

@@ -9,6 +9,7 @@
 #include "storage/mem_storage.h"
 #include "util/check.h"
 #include "util/crc32.h"
+#include "util/parking_lot.h"
 
 namespace pccheck::mc {
 
@@ -68,14 +69,9 @@ class MiniCommit {
             ticket.counter =
                 g_counter_.fetch_add(1, std::memory_order_acq_rel) + 1;
         }
-        for (;;) {
-            const auto slot = free_slots_->try_dequeue();
-            if (slot.has_value()) {
-                ticket.slot = *slot;
-                return ticket;
-            }
-            clock_->sleep_for(kSlotBackoff);
-        }
+        ticket.slot =
+            waiters_.take([this] { return free_slots_->try_dequeue(); });
+        return ticket;
     }
 
     CommitResult commit(const CheckpointTicket& ticket, Bytes data_len,
@@ -99,7 +95,10 @@ class MiniCommit {
             if (check_addr_.compare_exchange_strong(
                     expected, mine, std::memory_order_acq_rel)) {
                 publish(ticket, data_len, iteration, data_crc);
-                recycle(slot_of(expected), &result);
+                // MUTATION kLostWakeup: the winner returns the
+                // superseded slot without waking parked begin()s.
+                recycle(slot_of(expected), &result,
+                        mutation_ != Mutation::kLostWakeup);
                 result.won = true;
                 result.published = true;
                 return result;
@@ -136,7 +135,8 @@ class MiniCommit {
         }
     }
 
-    void recycle(std::uint32_t slot, CommitResult* result)
+    void recycle(std::uint32_t slot, CommitResult* result,
+                 bool wake = true)
     {
         if (slot == kNoSlot) {
             return;
@@ -148,6 +148,9 @@ class MiniCommit {
         while (!free_slots_->try_enqueue(slot)) {
             clock_->sleep_for(kSlotBackoff);
         }
+        if (wake) {
+            waiters_.wake();
+        }
         result->freed_slot = slot;
     }
 
@@ -155,6 +158,7 @@ class MiniCommit {
     const Clock* clock_;
     Mutation mutation_;
     std::unique_ptr<FreeSlotQueue> free_slots_;
+    ParkingLot waiters_;
     Atomic<std::uint64_t> g_counter_{0};
     Atomic<std::uint64_t> check_addr_;
 };
@@ -195,7 +199,8 @@ CommitModel::CommitModel(const ModelConfig& config, Mutation mutation)
     state_->store =
         SlotStore::format(state_->device, slot_count_, config_.slot_size);
     const bool mini = config_.use_mini || mutation_ == Mutation::kBlindStore ||
-                      mutation_ == Mutation::kTicketReuse;
+                      mutation_ == Mutation::kTicketReuse ||
+                      mutation_ == Mutation::kLostWakeup;
     if (mini) {
         state_->mini = std::make_unique<MiniCommit>(
             *state_->store, config_.queue_kind, state_->clock, mutation_);

@@ -17,9 +17,9 @@
  *
  * Mutations:
  *  - kNone runs the REAL ConcurrentCommit (the object under test).
- *  - kBlindStore / kTicketReuse run MiniCommit, a compact
- *    reimplementation of Listing 1 over the same seam, because the
- *    weakenings replace lines of the real algorithm. MiniCommit with
+ *  - kBlindStore / kTicketReuse / kLostWakeup run MiniCommit, a
+ *    compact reimplementation of Listing 1 over the same seam, because
+ *    the weakenings replace lines of the real algorithm. MiniCommit with
  *    Mutation::kNone is itself checked (mc_test) to agree with the
  *    real implementation, so a bug injected into MiniCommit stands in
  *    for the same bug in ConcurrentCommit.
@@ -53,6 +53,10 @@ enum class Mutation {
     kBlindStore,   ///< CAS on CHECK_ADDR -> unconditional exchange
     kTicketReuse,  ///< counter fetch_add -> racy load + store
     kNoFence,      ///< slot data never persisted before publish
+    /** Winner's recycle skips the wake: a begin() parked on an empty
+     *  free-slot queue can sleep forever. Checked slot-starved
+     *  (slot_count = threads), where begin() parks at bound 2. */
+    kLostWakeup,
 };
 
 /** Model shape. */
@@ -60,7 +64,8 @@ struct ModelConfig {
     int threads = 3;
     /** Checkpoints committed per thread. */
     int checkpoints_per_thread = 1;
-    /** N+1 slots; 0 means threads + 1 (the paper's sizing). */
+    /** N+1 slots; 0 means threads + 1 (the paper's sizing). With
+     *  fewer, begin() parks behind in-flight checkpoints. */
     std::uint32_t slot_count = 0;
     Bytes slot_size = 64;  ///< one PMEM line of payload
     SlotQueueKind queue_kind = SlotQueueKind::kVyukov;

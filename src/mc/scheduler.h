@@ -30,9 +30,10 @@
  *    sections contain no schedule points of their own, so acquisition
  *    order is already decided at the preceding atomic point);
  *    acquiring a HELD mutex blocks the thread until unlock;
- *  - mc::yield() (the slot-wait backoff) is a forced-fairness point:
- *    the scheduler must switch to another enabled thread when one
- *    exists, and the DFS explorer does not branch there.
+ *  - a yield point (McClock::sleep_for, the backoff of a slot
+ *    recycle retrying a transiently full queue) is a forced-fairness
+ *    point: the scheduler must switch to another enabled thread when
+ *    one exists, and the DFS explorer does not branch there.
  *
  * A model thread signals an invariant violation by throwing
  * mc::Violation; the scheduler aborts the execution (remaining

@@ -245,10 +245,12 @@ class CondVar {
 /**
  * Deterministic clock for modeled code. now() advances by a fixed
  * quantum per call (timestamps stay ordered and replayable);
- * sleep_for() is the spin-wait backoff in ConcurrentCommit::begin(),
- * which under the checker must hand the CPU to another thread instead
- * of burning steps — it maps to the scheduler's forced-fairness
- * yield.
+ * sleep_for() is the backoff of the slot recycle's retry while the
+ * free-slot queue is transiently full (a dequeuer holds a claimed
+ * cell). Under the checker that retry must hand the CPU to the
+ * dequeuer instead of burning steps, so it maps to the scheduler's
+ * forced-fairness yield. begin() does not sleep: it parks on a
+ * ParkingLot, whose CondVar wait is a blocking schedule point.
  */
 class McClock : public Clock {
   public:

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -266,13 +267,18 @@ TEST(ConcurrentCommitTest, AdoptsExistingCheckpointOnReopen)
     commit.abort(b);
 }
 
-/** Concurrent commit stress: counters never regress, recovery valid. */
+/**
+ * Concurrent commit stress: counters never regress, recovery valid.
+ * The arena has fewer slots than writers + 1, so several writers park
+ * in begin() at once and every recycle path has to wake them.
+ */
 TEST(ConcurrentCommitTest, ParallelWritersMonotonicPointer)
 {
     constexpr int kWriters = 4;
     constexpr int kPerWriter = 50;
-    auto device = make_device(kWriters + 1, 4096);
-    SlotStore store = SlotStore::format(*device, kWriters + 1, 4096);
+    constexpr std::uint32_t kSlots = kWriters - 1;
+    auto device = make_device(kSlots, 4096);
+    SlotStore store = SlotStore::format(*device, kSlots, 4096);
     ConcurrentCommit commit(store);
 
     std::atomic<std::uint64_t> max_seen{0};
@@ -316,6 +322,92 @@ TEST(ConcurrentCommitTest, ParallelWritersMonotonicPointer)
     ASSERT_TRUE(stamped.has_value());
     EXPECT_EQ(*stamped, recovered->counter);
     EXPECT_EQ(recovered->counter, commit.latest_counter());
+}
+
+/** Real clock that counts sleep_for calls: a parked wait makes none. */
+class CountingClock final : public Clock {
+  public:
+    Seconds now() const override
+    {
+        return MonotonicClock::instance().now();
+    }
+    void sleep_for(Seconds duration) const override
+    {
+        sleeps_.fetch_add(1);
+        MonotonicClock::instance().sleep_for(duration);
+    }
+    std::uint64_t sleeps() const { return sleeps_.load(); }
+
+  private:
+    mutable std::atomic<std::uint64_t> sleeps_{0};
+};
+
+/** Block until @p started is set, then give the thread time to park. */
+void
+await_parked(const std::atomic<bool>& started)
+{
+    while (!started.load()) {
+        std::this_thread::yield();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+}
+
+TEST(ConcurrentCommitTest, BeginParksUntilCommitOrAbort)
+{
+    auto device = make_device(2, 1024);
+    SlotStore store = SlotStore::format(*device, 2, 1024);
+    CountingClock clock;
+    ConcurrentCommit commit(store, SlotQueueKind::kVyukov, clock);
+    const auto data = pattern(1024, 4);
+    const std::uint32_t crc = crc32c(data.data(), data.size());
+    const auto persist = [&](const CheckpointTicket& ticket) {
+        PCCHECK_MUST(store.write_slot(ticket.slot, 0, data.data(),
+                                      data.size()));
+        PCCHECK_MUST(store.persist_slot_range(ticket.slot, 0, data.size()));
+        PCCHECK_MUST(store.device().fence());
+    };
+
+    // One slot holds the registered checkpoint, the other is in
+    // flight: the free queue is empty.
+    const CheckpointTicket first = commit.begin();
+    persist(first);
+    ASSERT_TRUE(commit.commit(first, data.size(), 1, crc).published);
+    const CheckpointTicket second = commit.begin();
+
+    // A waiter parks until the winner's commit recycles the
+    // superseded slot.
+    std::atomic<bool> started{false};
+    std::atomic<bool> done{false};
+    CheckpointTicket third;
+    std::thread waiter([&] {
+        started.store(true);
+        third = commit.begin();
+        done.store(true);
+    });
+    await_parked(started);
+    EXPECT_FALSE(done.load());
+    EXPECT_EQ(clock.sleeps(), 0u);
+    persist(second);
+    EXPECT_TRUE(commit.commit(second, data.size(), 2, crc).published);
+    waiter.join();
+    EXPECT_EQ(third.slot, first.slot);
+
+    // A second waiter parks until that ticket is aborted.
+    started.store(false);
+    done.store(false);
+    CheckpointTicket fourth;
+    std::thread second_waiter([&] {
+        started.store(true);
+        fourth = commit.begin();
+        done.store(true);
+    });
+    await_parked(started);
+    EXPECT_FALSE(done.load());
+    commit.abort(third);
+    second_waiter.join();
+    EXPECT_EQ(fourth.slot, third.slot);
+    commit.abort(fourth);
+    EXPECT_EQ(clock.sleeps(), 0u);
 }
 
 // -------------------------------------------------------------- crash tests
@@ -587,6 +679,39 @@ TEST(OrchestratorTest, BeforeUpdateWaitsForSnapshot)
     checkpointer.finish();
     const auto stats = checkpointer.stats();
     EXPECT_GE(stats.stall_time, 0.01);
+}
+
+TEST(OrchestratorTest, BufferWaitParks)
+{
+    // One staging chunk and a slow persist channel: the second
+    // snapshot finds the only buffer still held by the first
+    // checkpoint's persist and must park until it is released.
+    constexpr Bytes kSize = 64 * 1024;
+    GpuConfig gpu_config;
+    gpu_config.memory_bytes = kSize + kMiB;
+    gpu_config.pcie_bytes_per_sec = 0;
+    SimGpu gpu(gpu_config);
+    TrainingState state(gpu, kSize);
+    ThrottledStorage device(
+        std::make_unique<MemStorage>(SlotStore::required_size(3, kSize)),
+        0, 2e6, 0);  // 64 KiB persist ≈ 33 ms
+    PCcheckConfig config;
+    config.concurrent_checkpoints = 2;
+    config.dram_bytes = kSize;  // a single staging chunk
+    CountingClock clock;
+    PCcheckCheckpointer checkpointer(state, device, config, clock);
+
+    state.stamp(1);
+    checkpointer.request_checkpoint(1);
+    checkpointer.before_update(2);
+    state.stamp(2);
+    checkpointer.request_checkpoint(2);
+    Stopwatch watch;
+    checkpointer.before_update(3);  // snapshot 2 waits for the buffer
+    EXPECT_GE(watch.elapsed(), 0.01);
+    checkpointer.finish();
+    EXPECT_EQ(checkpointer.stats().completed, 2u);
+    EXPECT_EQ(clock.sleeps(), 0u);
 }
 
 TEST(OrchestratorTest, InvalidConfigRejected)
