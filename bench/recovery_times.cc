@@ -93,7 +93,7 @@ main()
     }
     SimGpu gpu(gpu_config);
     TrainingState state(gpu, model.checkpoint_bytes);
-    const auto recovered = recover_into_state(device, state);
+    const auto recovered = recover_latest_into_state(device, state);
     if (recovered.has_value()) {
         std::printf("recovered iteration %llu; load time %.1f ms "
                     "scaled = %.1f s full scale (paper l for 16.2 GB "

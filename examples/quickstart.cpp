@@ -89,7 +89,7 @@ main(int argc, char** argv)
     // 4. "Crash": drop everything volatile and recover from the file.
     SimGpu fresh_gpu(gpu_config);
     TrainingState fresh_state(fresh_gpu, model.checkpoint_bytes);
-    const auto recovered = recover_into_state(device, fresh_state);
+    const auto recovered = recover_latest_into_state(device, fresh_state);
     if (!recovered.has_value()) {
         std::printf("recovery failed: no valid checkpoint\n");
         return 1;

@@ -73,7 +73,7 @@ main()
         TrainingState state(gpu, model.checkpoint_bytes);
         std::uint64_t start = 1;
         if (resume_from > 0) {
-            const auto recovered = recover_into_state(device, state);
+            const auto recovered = recover_latest_into_state(device, state);
             if (recovered.has_value()) {
                 start = recovered->iteration + 1;
             }

@@ -77,7 +77,7 @@ PCcheckCheckpointer::PCcheckCheckpointer(
     // existing checkpoint. Reopen a compatible layout in place; when
     // the geometry changed (different N, m, or delta capacity),
     // salvage the latest valid checkpoint — delta frames replayed on
-    // top (recover_latest) — reformat, and republish it before any
+    // top (recover_to_buffer) — reformat, and republish it before any
     // new checkpoint can start.
     bool opened = false;
     std::vector<std::uint8_t> salvaged;
@@ -90,7 +90,7 @@ PCcheckCheckpointer::PCcheckCheckpointer(
             store_ = std::make_unique<SlotStore>(existing);
             opened = true;
         } else {
-            salvage_info = recover_latest(*device_, &salvaged, clock);
+            salvage_info = recover_to_buffer(*device_, &salvaged, clock);
         }
     } catch (const FatalError&) {
         // Unformatted device: fresh format below.

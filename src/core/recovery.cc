@@ -1,9 +1,7 @@
 #include "core/recovery.h"
 
-#include "core/slot_store.h"
-#include "psan/psan.h"
+#include "core/recovery_planner.h"
 #include "util/check.h"
-#include "util/crc32.h"
 
 namespace pccheck {
 
@@ -11,87 +9,25 @@ std::optional<RecoveryResult>
 recover_to_buffer(StorageDevice& device, std::vector<std::uint8_t>* out,
                   const Clock& clock)
 {
-    PCCHECK_CHECK(out != nullptr);
-    Stopwatch watch(clock);
-    // V5: everything recovery touches from here on must be on durable
-    // media (or untouched pre-existing content) — reading a line only
-    // the volatile domain holds would vanish in a real crash.
-    psan::RecoveryScope psan_scope;
-    psan::ScopeLabel psan_label("recovery.to_buffer");
-    SlotStore store = SlotStore::open(device);
-    // Newest-first over the valid pointer records; one slot read per
-    // candidate, CRC-validated against that same read (no double read
-    // on the common path).
-    for (const CheckpointPointer& pointer : store.candidate_pointers()) {
-        out->resize(pointer.data_len);
-        if (!store.read_slot(pointer.slot, 0, out->data(), pointer.data_len)
-                 .ok()) {
-            continue;  // unreadable slot media; fall back
-        }
-        if (pointer.data_crc != 0 &&
-            crc32c(out->data(), out->size()) != pointer.data_crc) {
-            continue;  // slot recycled under a stale record; fall back
-        }
-        RecoveryResult result;
-        result.iteration = pointer.iteration;
-        result.counter = pointer.counter;
-        result.data_len = pointer.data_len;
-        result.load_time = watch.elapsed();
-        result.data_crc = pointer.data_crc;
-        return result;
+    // Read-only: a live checkpointer may be writing this device
+    // (examples/monitor_debug.cpp), so nothing is quarantined or
+    // salvaged.
+    RecoveryPlanner::Options options;
+    options.salvage = false;
+    options.quarantine = false;
+    RecoveryPlanner planner(&device, options, clock);
+    const std::optional<PlannedRecovery> planned = planner.recover(out);
+    if (!planned.has_value()) {
+        return std::nullopt;
     }
-    return std::nullopt;
-}
-
-std::optional<RecoveryResult>
-recover_latest(StorageDevice& device, std::vector<std::uint8_t>* out,
-               const Clock& clock,
-               const std::function<bool(const DeltaFrameInfo&)>& observer)
-{
-    PCCHECK_CHECK(out != nullptr);
-    Stopwatch watch(clock);
-    // V5: see recover_to_buffer.
-    psan::RecoveryScope psan_scope;
-    psan::ScopeLabel psan_label("recovery.latest");
-    SlotStore store = SlotStore::open(device);
-    for (const CheckpointPointer& pointer : store.candidate_pointers()) {
-        out->resize(pointer.data_len);
-        if (!store.read_slot(pointer.slot, 0, out->data(), pointer.data_len)
-                 .ok()) {
-            continue;  // unreadable slot media; fall back
-        }
-        if (pointer.data_crc != 0 &&
-            crc32c(out->data(), out->size()) != pointer.data_crc) {
-            continue;  // slot recycled under a stale record; fall back
-        }
-        RecoveryResult result;
-        result.counter = pointer.counter;
-        result.data_len = pointer.data_len;
-        result.data_crc = pointer.data_crc;
-        // Replay the frame chain based on this checkpoint. The replay
-        // stops by itself at the first torn / out-of-order frame, so
-        // a crash mid-append only costs the in-flight frame.
-        const DeltaRegion region{store.delta_offset(),
-                                 store.delta_bytes()};
-        const DeltaReplayStats replay =
-            delta_replay(device, region, pointer.counter,
-                         pointer.iteration, out->data(), out->size(),
-                         observer);
-        result.iteration = replay.frames_applied > 0 ? replay.iteration
-                                                     : pointer.iteration;
-        result.delta_frames = replay.frames_applied;
-        result.delta_seq = replay.last_seq;
-        result.load_time = watch.elapsed();
-        return result;
-    }
-    return std::nullopt;
+    return planned->result;
 }
 
 #if !defined(PCCHECK_MC)
 
 std::optional<RecoveryResult>
-recover_into_state(StorageDevice& device, TrainingState& state, bool pinned,
-                   const Clock& clock)
+recover_latest_into_state(StorageDevice& device, TrainingState& state,
+                          bool pinned, const Clock& clock)
 {
     Stopwatch watch(clock);
     std::vector<std::uint8_t> buffer;
@@ -102,49 +38,25 @@ recover_into_state(StorageDevice& device, TrainingState& state, bool pinned,
     PCCHECK_CHECK_MSG(buffer.size() <= state.size(),
                       "checkpoint larger than training state: "
                           << buffer.size() << " > " << state.size());
-    // Validate the stamp before touching GPU memory: a checkpoint the
-    // markers reject must never be restored.
+    // Validate the stamps before touching GPU memory: a checkpoint the
+    // markers reject must never be restored. The arena, not the replay,
+    // picks the oracle: with a delta region a sparsely updated state
+    // leaves untouched chunks at older iterations even in a full
+    // checkpoint, so markers must only sit at their offsets and be no
+    // newer than the recovered iteration. Without one every checkpoint
+    // is a full stamp and all markers must agree on it.
+    const bool sparse = result->delta_region;
     const auto stamped =
-        TrainingState::verify_buffer(buffer.data(), buffer.size());
+        sparse ? TrainingState::verify_buffer_sparse(buffer.data(),
+                                                     buffer.size())
+               : TrainingState::verify_buffer(buffer.data(), buffer.size());
     if (!stamped.has_value()) {
         return std::nullopt;
     }
-    PCCHECK_CHECK_MSG(*stamped == result->iteration,
-                      "pointer iteration " << result->iteration
-                                           << " != stamped " << *stamped);
-    state.gpu().copy_to_device(state.device_ptr(), 0, buffer.data(),
-                               buffer.size(), pinned);
-    state.stamp(result->iteration);
-    result->load_time = watch.elapsed();
-    return result;
-}
-
-std::optional<RecoveryResult>
-recover_latest_into_state(StorageDevice& device, TrainingState& state,
-                          bool pinned, const Clock& clock)
-{
-    Stopwatch watch(clock);
-    std::vector<std::uint8_t> buffer;
-    auto result = recover_latest(device, &buffer, clock);
-    if (!result.has_value()) {
-        return std::nullopt;
-    }
-    PCCHECK_CHECK_MSG(buffer.size() <= state.size(),
-                      "checkpoint larger than training state: "
-                          << buffer.size() << " > " << state.size());
-    // Sparse oracle: every marker must sit at its offset, and none may
-    // exceed the recovered iteration — frames legitimately leave
-    // untouched chunks at older iterations (and an empty frame
-    // advances the iteration without touching any marker), but nothing
-    // may be newer than what the manifest + sealed frames claim.
-    const auto stamped =
-        TrainingState::verify_buffer_sparse(buffer.data(), buffer.size());
-    if (!stamped.has_value()) {
-        return std::nullopt;
-    }
-    PCCHECK_CHECK_MSG(*stamped <= result->iteration,
+    PCCHECK_CHECK_MSG(sparse ? *stamped <= result->iteration
+                             : *stamped == result->iteration,
                       "state stamped " << *stamped
-                                       << " is newer than recovered "
+                                       << " does not match recovered "
                                        << result->iteration);
     state.restore(buffer.data(), buffer.size(), result->iteration, pinned);
     result->load_time = watch.elapsed();

@@ -6,14 +6,18 @@
  * Recovery path (§4.2): locate the latest consistent checkpoint via
  * the durable CHECK_ADDR records, validate it, and load it back into
  * GPU memory so training can resume.
+ *
+ * Both entry points are read-only runs of the RecoveryPlanner
+ * (core/recovery_planner.h), the one candidate loop: newest valid
+ * full checkpoint, then its delta-frame chain replayed on top
+ * (docs/DELTA_LOG.md). They never quarantine or salvage, so they are
+ * safe on a device a live checkpointer is writing.
  */
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
-#include "delta/delta_log.h"
 #include "storage/device.h"
 #include "util/clock.h"
 
@@ -38,50 +42,36 @@ struct RecoveryResult {
     Seconds load_time = 0;        ///< l in the §4.2 recovery bound
     /** CRC-32C recorded with the checkpoint (0 = none computed). */
     std::uint32_t data_crc = 0;
-    /** Delta frames replayed on top of the full image (recover_latest
-     *  only; docs/DELTA_LOG.md). iteration then reflects the last
-     *  applied frame, not the base checkpoint. */
+    /** Delta frames replayed on top of the full image
+     *  (docs/DELTA_LOG.md). iteration then reflects the last applied
+     *  frame, not the base checkpoint. */
     std::uint64_t delta_frames = 0;
     /** Sequence number of the last applied frame (0 = none). */
     std::uint64_t delta_seq = 0;
+    /** The local arena has a delta-log region, so the image may carry
+     *  markers of several iterations even with no frame replayed. */
+    bool delta_region = false;
 };
 
 /**
- * Read the latest valid checkpoint from @p device into a host buffer.
- * @return std::nullopt when the device holds no valid checkpoint.
+ * Read the latest valid checkpoint from @p device into a host buffer,
+ * with its delta chain replayed on top.
+ * @return std::nullopt when the device holds no valid checkpoint,
+ *         including when its header is missing or corrupt.
  */
 std::optional<RecoveryResult> recover_to_buffer(
     StorageDevice& device, std::vector<std::uint8_t>* out,
     const Clock& clock = MonotonicClock::instance());
 
 /**
- * Three-tier recovery (docs/DELTA_LOG.md): map the latest valid full
- * checkpoint like recover_to_buffer, then replay its delta-frame
- * chain in sequence order on top, stopping cleanly at the first torn
- * or CRC-failing frame. On a device without a delta region this is
- * exactly recover_to_buffer. @p observer (tests only) sees each
- * applied frame and may stop the replay early.
- * @return std::nullopt when the device holds no valid checkpoint.
- */
-std::optional<RecoveryResult> recover_latest(
-    StorageDevice& device, std::vector<std::uint8_t>* out,
-    const Clock& clock = MonotonicClock::instance(),
-    const std::function<bool(const DeltaFrameInfo&)>& observer = {});
-
-/**
- * Full recovery: load the latest valid checkpoint into @p state's GPU
- * memory (paying the PCIe H2D transfer) and re-mark the state's
- * iteration. @return std::nullopt when no valid checkpoint exists.
- */
-std::optional<RecoveryResult> recover_into_state(
-    StorageDevice& device, TrainingState& state, bool pinned = true,
-    const Clock& clock = MonotonicClock::instance());
-
-/**
- * Three-tier variant of recover_into_state: base image + delta
- * replay, validated with the sparse stamp oracle (markers must be
- * well-placed and no newer than the recovered iteration — delta
- * frames legitimately leave chunks stamped at older iterations).
+ * Full recovery: recover_to_buffer, check the state's integrity
+ * stamps, then load the image into @p state's GPU memory (paying the
+ * PCIe H2D transfer) at the recovered iteration. On an arena without
+ * a delta region every marker must carry the recovered iteration; on
+ * one with a region markers may be older (a sparse update leaves
+ * untouched chunks behind) but never newer.
+ * @return std::nullopt when no valid checkpoint exists or the stamps
+ *         reject it; @p state is then untouched.
  */
 std::optional<RecoveryResult> recover_latest_into_state(
     StorageDevice& device, TrainingState& state, bool pinned = true,

@@ -21,16 +21,55 @@ struct Ranked {
     RecoverySource* source = nullptr;
 };
 
-void
-rank(std::vector<Ranked>* entries)
+/**
+ * The survey: open the local arena (into @p store; left empty when
+ * there is no device or its header is unusable), list its pointer
+ * records and every source's images, and rank them newest counter
+ * first, cheapest source on ties.
+ */
+std::vector<Ranked>
+survey(StorageDevice* local_device,
+       const std::vector<RecoverySource*>& sources,
+       std::optional<SlotStore>* store)
 {
-    std::sort(entries->begin(), entries->end(),
+    if (local_device != nullptr) {
+        try {
+            store->emplace(SlotStore::open(*local_device));
+        } catch (const FatalError&) {
+            // Unformatted / wiped / truncated media: every local
+            // candidate is unreadable before we even rank.
+        }
+    }
+    std::vector<Ranked> entries;
+    if (store->has_value()) {
+        for (const CheckpointPointer& pointer :
+             (*store)->candidate_pointers()) {
+            RecoveryCandidate candidate;
+            candidate.counter = pointer.counter;
+            candidate.iteration = pointer.iteration;
+            candidate.data_len = pointer.data_len;
+            candidate.data_crc = pointer.data_crc;
+            candidate.cost = 0.0;  // local reads beat any network fetch
+            candidate.local = true;
+            candidate.slot = pointer.slot;
+            candidate.source = "local";
+            entries.push_back(Ranked{candidate, nullptr});
+        }
+    }
+    for (RecoverySource* source : sources) {
+        for (RecoveryCandidate& c : source->survey()) {
+            c.source = source->name();
+            entries.push_back(Ranked{c, source});
+        }
+    }
+    std::sort(entries.begin(), entries.end(),
               [](const Ranked& a, const Ranked& b) {
                   if (a.candidate.counter != b.candidate.counter) {
                       return a.candidate.counter > b.candidate.counter;
                   }
                   return a.candidate.cost < b.candidate.cost;
               });
+    return entries;
 }
 
 }  // namespace
@@ -69,54 +108,6 @@ RecoveryPlanner::add_source(RecoverySource* source)
 {
     PCCHECK_CHECK(source != nullptr);
     sources_.push_back(source);
-}
-
-std::vector<RecoveryCandidate>
-RecoveryPlanner::survey_local(const SlotStore& store)
-{
-    std::vector<RecoveryCandidate> candidates;
-    for (const CheckpointPointer& pointer : store.candidate_pointers()) {
-        RecoveryCandidate candidate;
-        candidate.counter = pointer.counter;
-        candidate.iteration = pointer.iteration;
-        candidate.data_len = pointer.data_len;
-        candidate.data_crc = pointer.data_crc;
-        candidate.cost = 0.0;  // local reads beat any network fetch
-        candidate.local = true;
-        candidate.slot = pointer.slot;
-        candidate.source = "local";
-        candidates.push_back(candidate);
-    }
-    return candidates;
-}
-
-std::vector<RecoveryCandidate>
-RecoveryPlanner::plan()
-{
-    std::vector<Ranked> entries;
-    if (local_device_ != nullptr) {
-        try {
-            SlotStore store = SlotStore::open(*local_device_);
-            for (RecoveryCandidate& c : survey_local(store)) {
-                entries.push_back(Ranked{c, nullptr});
-            }
-        } catch (const FatalError&) {
-            // Wiped/unreadable arena: no local candidates.
-        }
-    }
-    for (RecoverySource* source : sources_) {
-        for (RecoveryCandidate& c : source->survey()) {
-            c.source = source->name();
-            entries.push_back(Ranked{c, source});
-        }
-    }
-    rank(&entries);
-    std::vector<RecoveryCandidate> candidates;
-    candidates.reserve(entries.size());
-    for (const Ranked& entry : entries) {
-        candidates.push_back(entry.candidate);
-    }
-    return candidates;
 }
 
 bool
@@ -249,27 +240,8 @@ RecoveryPlanner::recover(std::vector<std::uint8_t>* out)
     MetricsRegistry::global().counter("pccheck.recovery.planner_runs").add();
 
     std::optional<SlotStore> store;
-    if (local_device_ != nullptr) {
-        try {
-            store.emplace(SlotStore::open(*local_device_));
-        } catch (const FatalError&) {
-            // Unformatted / wiped / truncated media: every local
-            // candidate is unreadable before we even rank.
-        }
-    }
-    std::vector<Ranked> entries;
-    if (store.has_value()) {
-        for (RecoveryCandidate& c : survey_local(*store)) {
-            entries.push_back(Ranked{c, nullptr});
-        }
-    }
-    for (RecoverySource* source : sources_) {
-        for (RecoveryCandidate& c : source->survey()) {
-            c.source = source->name();
-            entries.push_back(Ranked{c, source});
-        }
-    }
-    rank(&entries);
+    const std::vector<Ranked> entries =
+        survey(local_device_, sources_, &store);
 
     PlannedRecovery planned;
     planned.report.reserve(entries.size());
@@ -365,8 +337,9 @@ RecoveryPlanner::recover(std::vector<std::uint8_t>* out)
     // Replay the local delta chain on top of the chosen base. The
     // chain validates its base counter itself, so a base restored from
     // a replica still picks up frames sealed against the same counter.
-    if (options_.replay_delta && store.has_value() &&
-        store->delta_bytes() > 0) {
+    planned.result.delta_region =
+        store.has_value() && store->delta_bytes() > 0;
+    if (planned.result.delta_region) {
         const DeltaRegion region{store->delta_offset(),
                                  store->delta_bytes()};
         const DeltaReplayStats replay =

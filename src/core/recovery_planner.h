@@ -5,10 +5,10 @@
  * @file
  * Multi-source recovery planning (docs/RECOVERY.md).
  *
- * recover_to_buffer / recover_latest walk one device and give up when
- * it holds nothing valid. The RecoveryPlanner generalizes that into a
- * survey → rank → verify → fall back loop over every source that can
- * produce a checkpoint image:
+ * The RecoveryPlanner is the one recovery loop: survey → rank →
+ * verify → fall back → replay over every source that can produce a
+ * checkpoint image. recover_to_buffer and recover_latest_into_state
+ * (core/recovery.h) are read-only runs of it. Its sources are:
  *
  *   - the local slot arena (CHECK_ADDR pointer records),
  *   - the local delta-frame chain (replayed on top of the chosen base
@@ -33,6 +33,11 @@
  * salvage leaves either the old state or a fully published new record,
  * never a half-trusted slot (tests/recovery_storm_test.cc and the MC
  * recovery-crash enumerator check exactly this).
+ *
+ * The planner opens its own SlotStore handle, whose quarantine cache
+ * no other handle shares. A planner that can write (quarantine or
+ * salvage on) must therefore be the only writer on its device: run it
+ * before a checkpointer opens the device, or after it is destroyed.
  */
 
 #include <cstdint>
@@ -122,8 +127,6 @@ class RecoveryPlanner {
         /** Re-persist a remotely restored image into the local arena
          *  (full persist→fence→publish contract). */
         bool salvage = true;
-        /** Replay the local delta chain on top of the chosen base. */
-        bool replay_delta = true;
         /** Quarantine the newest local slot when torn/unreadable. */
         bool quarantine = true;
     };
@@ -140,20 +143,14 @@ class RecoveryPlanner {
     void add_source(RecoverySource* source);
 
     /**
-     * The ranked candidate list as of now (survey only — no payload
-     * reads, no verdicts). recover() re-surveys internally.
-     */
-    std::vector<RecoveryCandidate> plan();
-
-    /**
-     * Try candidates best-first until one verifies; quarantine and
-     * salvage per Options. @return std::nullopt when every source is
-     * exhausted (all verdicts are then torn/unreadable/stale).
+     * Survey and rank every candidate, try them best-first until one
+     * verifies, quarantine and salvage per Options, then replay the
+     * local delta chain on top. @return std::nullopt when every source
+     * is exhausted (all verdicts are then torn/unreadable/stale).
      */
     std::optional<PlannedRecovery> recover(std::vector<std::uint8_t>* out);
 
   private:
-    std::vector<RecoveryCandidate> survey_local(const SlotStore& store);
     /** Salvage @p image into the arena; true when published. */
     bool salvage_local(SlotStore& store,
                        const std::vector<std::uint8_t>& image,

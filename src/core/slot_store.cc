@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_map>
 #include <vector>
 
 #include "psan/psan.h"
@@ -60,48 +59,15 @@ record_crc(const RawRecord& rec)
 
 }  // namespace
 
-std::shared_ptr<SlotStore::QuarantineState>
-SlotStore::quarantine_state_for(const StorageDevice* device,
-                                std::uint64_t header_bits, bool reset)
-{
-    static Mutex* registry_mu = new Mutex;
-    static auto* registry = new std::unordered_map<
-        const StorageDevice*, std::weak_ptr<QuarantineState>>;
-    MutexLock lock(*registry_mu);
-    // Expired entries (every handle on that device destroyed) are
-    // purged so a device allocated at a recycled address starts fresh.
-    for (auto it = registry->begin(); it != registry->end();) {
-        it = it->second.expired() ? registry->erase(it) : std::next(it);
-    }
-    std::weak_ptr<QuarantineState>& entry = (*registry)[device];
-    std::shared_ptr<QuarantineState> state = entry.lock();
-    if (state == nullptr) {
-        state = std::make_shared<QuarantineState>();
-        {
-            MutexLock state_lock(state->mu);
-            state->bits = header_bits;
-        }
-        entry = state;
-    } else if (reset) {
-        MutexLock state_lock(state->mu);
-        state->bits = header_bits;
-    }
-    // A live shared entry is at least as fresh as the header the
-    // caller just read (the cache is only advanced after a durable
-    // header write), so open() adopts it unchanged.
-    return state;
-}
-
 SlotStore::SlotStore(StorageDevice& device, std::uint32_t slot_count,
                      Bytes slot_size, Bytes delta_offset, Bytes delta_bytes,
-                     std::uint64_t quarantine_bits, bool reset_quarantine)
+                     std::uint64_t quarantine_bits)
     : device_(&device), psan_(dynamic_cast<PsanStorage*>(&device)),
       slot_count_(slot_count), slot_size_(slot_size),
       data_offset_(kDataAlign), delta_offset_(delta_offset),
       delta_bytes_(delta_bytes),
       publish_(std::make_shared<PublishState>()),
-      quarantine_(quarantine_state_for(&device, quarantine_bits,
-                                       reset_quarantine))
+      quarantine_(std::make_shared<QuarantineState>(quarantine_bits))
 {
 }
 
@@ -175,7 +141,7 @@ SlotStore::format(StorageDevice& device, std::uint32_t slot_count,
         PCCHECK_MUST(device.fence());
     }
     return SlotStore(device, slot_count, slot_size, delta_offset,
-                     delta_bytes, 0, /*reset_quarantine=*/true);
+                     delta_bytes, /*quarantine_bits=*/0);
 }
 
 SlotStore
@@ -209,8 +175,7 @@ SlotStore::open(StorageDevice& device)
     }
     return SlotStore(device, header.slot_count, header.slot_size,
                      header.delta_len > 0 ? header.delta_offset : 0,
-                     header.delta_len, header.quarantine_bits,
-                     /*reset_quarantine=*/false);
+                     header.delta_len, header.quarantine_bits);
 }
 
 Bytes

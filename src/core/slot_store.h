@@ -65,6 +65,13 @@ class SlotStore {
     /**
      * Open an already formatted device (recovery path). Throws
      * FatalError if the header is missing or corrupt.
+     *
+     * The handle's quarantine cache starts from the header bitmap and
+     * is shared only by copies of this handle, not by other open()s.
+     * Every writer on @p device (a checkpointer, a scrubber) must
+     * therefore use one handle and its copies. A RecoveryPlanner opens
+     * its own, so one with quarantine or salvage on must be the only
+     * writer on the device; read-only handles may coexist with any.
      */
     static SlotStore open(StorageDevice& device);
 
@@ -202,7 +209,7 @@ class SlotStore {
   private:
     SlotStore(StorageDevice& device, std::uint32_t slot_count,
               Bytes slot_size, Bytes delta_offset, Bytes delta_bytes,
-              std::uint64_t quarantine_bits, bool reset_quarantine);
+              std::uint64_t quarantine_bits);
 
     static Bytes record_offset(int index);
 
@@ -227,35 +234,23 @@ class SlotStore {
     };
 
     // In-memory cache of the durable quarantine bitmap, so membership
-    // tests don't hit the device. Shared by EVERY SlotStore on the
-    // same device — copies and independent open()s alike, via a
-    // process-wide registry keyed by device — so a quarantine taken
-    // through one handle (e.g. RecoveryPlanner's internal open) is
-    // immediately visible to a ConcurrentCommit/Scrubber built on a
-    // handle opened earlier. format() resets the shared state along
-    // with the on-device bitmap.
-    // Like PublishState, bitmap writers serialize through the
-    // `writing` turnstile and run the header write+persist+fence
-    // outside mu, so is_quarantined (on the commit winner's path)
-    // never blocks behind quarantine I/O.
+    // tests don't hit the device. Like PublishState it is shared by
+    // copies of this SlotStore only (see open() for the one-writer
+    // rule). Bitmap writers serialize through the `writing` turnstile
+    // and run the header write+persist+fence outside mu, so
+    // is_quarantined (on the commit winner's path) never blocks
+    // behind quarantine I/O.
     struct QuarantineState {
+        explicit QuarantineState(std::uint64_t header_bits)
+            : bits(header_bits)
+        {
+        }
         mutable Mutex mu;
         CondVar cv;
         /** A writer's bitmap I/O is in flight (claimed under mu). */
         bool writing PCCHECK_GUARDED_BY(mu) = false;
-        std::uint64_t bits PCCHECK_GUARDED_BY(mu) = 0;
+        std::uint64_t bits PCCHECK_GUARDED_BY(mu);
     };
-
-    /**
-     * Process-wide registry lookup: the QuarantineState shared by all
-     * stores on @p device, created from @p header_bits on first use.
-     * With @p reset (the format path) the cached bits are forced to
-     * @p header_bits even if other handles are live — the on-device
-     * bitmap was just durably rewritten.
-     */
-    static std::shared_ptr<QuarantineState> quarantine_state_for(
-        const StorageDevice* device, std::uint64_t header_bits,
-        bool reset);
 
     /** Durably write @p bits into the header bitmap field. The caller
      *  must hold the quarantine writer turnstile (writing == true),

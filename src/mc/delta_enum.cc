@@ -61,7 +61,7 @@ struct MiniDeltaState {
 /**
  * The mutated appender: seals the header (correct checksums) and acks
  * BEFORE the payload is persisted — the WAL ordering bug. Layout is
- * byte-identical to DeltaLog's so recover_latest replays it.
+ * byte-identical to DeltaLog's so recover_to_buffer replays it.
  */
 void mini_append_ack_early(CrashSimStorage& device, const DeltaRegion& region,
                            MiniDeltaState* mini, std::uint64_t iteration,
@@ -264,7 +264,7 @@ std::optional<std::string> check_image(const DeltaTrace& trace,
     std::vector<std::uint8_t> buffer;
     std::optional<RecoveryResult> recovered;
     try {
-        recovered = recover_latest(mem, &buffer);
+        recovered = recover_to_buffer(mem, &buffer);
     } catch (const FatalError& e) {
         return std::string("recovery raised: ") + e.what();
     }

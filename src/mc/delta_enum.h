@@ -13,7 +13,7 @@
  * with delta-frame appends over CrashSimStorage, records a
  * CrashSnapshot after every storage op, and the enumerator
  * materializes every (crash point, unflushed-line mask) image, runs
- * the REAL recovery path (recover_latest), and asserts:
+ * the REAL recovery path (recover_to_buffer), and asserts:
  *
  *  - floor: once a full checkpoint's publish or a frame's append has
  *    RETURNED (the durability ack), every later crash image must

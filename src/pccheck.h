@@ -16,7 +16,7 @@
  *   PCcheckCheckpointer ck(state, ssd, PCcheckConfig{});
  *   TrainingLoop(gpu, state, model).run(steps, interval, ck);
  *   // after a crash:
- *   auto recovered = recover_into_state(ssd, state);
+ *   auto recovered = recover_latest_into_state(ssd, state);
  */
 
 // The contribution: concurrent checkpointing.

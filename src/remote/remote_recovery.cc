@@ -17,9 +17,12 @@ recover_latest(StorageDevice* local_device, SimNetwork& network,
     // Delegate to the planner: local slot candidates and peer replica
     // versions ranked together (counter desc, modeled cost asc), so a
     // healthy local arena wins ties at zero cost and a wiped one falls
-    // through to the replica tier. Salvage is off — recover_latest
-    // keeps its read-only contract on the local media (callers that
-    // want write-back recovery construct a RecoveryPlanner directly).
+    // through to the replica tier. Salvage is off, so the local media
+    // never receives a replica's image (callers that want write-back
+    // recovery construct a RecoveryPlanner directly). Quarantine stays
+    // on: a torn or unreadable newest local slot is durably
+    // quarantined, so the caller must be the only writer on
+    // @p local_device (core/recovery_planner.h).
     RecoveryPlanner::Options options;
     options.salvage = false;
     RecoveryPlanner planner(local_device, options, clock);

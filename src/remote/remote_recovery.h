@@ -5,15 +5,17 @@
  * @file
  * Replica-aware recovery (docs/REPLICATION.md §recovery).
  *
- * recover_latest() first runs the ordinary local CHECK_ADDR scan
- * (core/recovery.h). When the local media holds nothing valid — the
- * node_loss fault action wipes it to zeros, so even the SlotStore
- * header is gone — it queries every surviving peer's ReplicaStore for
- * its newest quorum-complete counter and restores that image over the
- * network, preferring the highest counter and breaking ties by the
- * fastest modeled path (SimNetwork::estimate_transfer). The restored
- * counter is always >= the surviving replicas' durable-publish
- * watermark, which is the replication tier's recovery guarantee.
+ * recover_latest() runs the RecoveryPlanner (core/recovery_planner.h)
+ * over the local CHECK_ADDR records and the peers' replicas, ranked
+ * together, with quarantine on and salvage off. When the local media
+ * holds nothing valid — the node_loss fault action wipes it to zeros,
+ * so even the SlotStore header is gone — it queries every surviving
+ * peer's ReplicaStore for its newest quorum-complete counter and
+ * restores that image over the network, preferring the highest counter
+ * and breaking ties by the fastest modeled path
+ * (SimNetwork::estimate_transfer). The restored counter is always >=
+ * the surviving replicas' durable-publish watermark, which is the
+ * replication tier's recovery guarantee.
  */
 
 #include <cstdint>

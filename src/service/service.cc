@@ -599,7 +599,6 @@ TenantRecovery CheckpointService::resolve_tenant(
 
     RecoveryPlanner::Options options;
     options.salvage = false;  // crash images are evidence: read-only
-    options.replay_delta = true;
     options.quarantine = false;
 
     if (tenant_coalesced(*spec, config.coalescer)) {

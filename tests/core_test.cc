@@ -838,7 +838,7 @@ TEST(RecoveryTest, RoundTripThroughRealFile)
         SimGpu gpu(gpu_config);
         TrainingState state(gpu, kSize);
         FileStorage device(path, SlotStore::required_size(3, kSize));
-        const auto result = recover_into_state(device, state);
+        const auto result = recover_latest_into_state(device, state);
         ASSERT_TRUE(result.has_value());
         EXPECT_EQ(result->iteration, 7u);
         EXPECT_EQ(state.iteration(), 7u);

@@ -257,7 +257,7 @@ TEST(CrashSweepTest, InvariantHoldsAtRandomCrashPoints)
         std::memcpy(dead.raw(), run.image.data(), run.image.size());
         SimGpu gpu(fast_gpu());
         TrainingState state(gpu, kState);
-        const auto loaded = recover_into_state(dead, state);
+        const auto loaded = recover_latest_into_state(dead, state);
         ASSERT_TRUE(loaded.has_value());
         ASSERT_EQ(loaded->iteration, recovered_iteration);
         PCcheckConfig config;

@@ -5,7 +5,7 @@
  * interval-spaced full checkpoints; each seed crashes at a seeded
  * storage-op index (including inside DeltaLog::append via the
  * delta.append fault point), recovers the post-crash media image with
- * the three-tier recover_latest, and checks:
+ * the three-tier recover_to_buffer, and checks:
  *
  *  - a recoverable checkpoint always exists;
  *  - the recovered iteration never regresses below the last durable
@@ -216,7 +216,7 @@ check_crash_image(const SeedRun& run, const SweepConfig& sweep,
     MemStorage dead(run.image.size());
     std::memcpy(dead.raw(), run.image.data(), run.image.size());
     std::vector<std::uint8_t> buffer;
-    const auto recovered = recover_latest(dead, &buffer);
+    const auto recovered = recover_to_buffer(dead, &buffer);
     EXPECT_TRUE(recovered.has_value())
         << "invariant violated: no recoverable checkpoint, seed " << seed
         << " crash_op " << crash_op;

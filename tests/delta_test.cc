@@ -6,7 +6,7 @@
  *    rules: torn payload mid-record, dead header between records,
  *    stale-epoch frames, a reopened device's stale chain, and GC
  *    racing an in-flight replay;
- *  - recover_latest over a SlotStore device: empty log, chain replay,
+ *  - recover_to_buffer over a SlotStore device: empty log, chain replay,
  *    and fallback to an older full checkpoint whose chain is gone;
  *  - orchestrator-level request_delta: no-durable-base and log-full
  *    skips, and a full train → crash → recover → resume cycle.
@@ -307,7 +307,7 @@ TEST(DeltaLog, FailedAppendLeavesHeadForRetry)
     EXPECT_EQ(stats.iteration, 11u);
 }
 
-// --------------------------------------------------------------- recover_latest
+// ----------------------------------------------------------- recover_to_buffer
 
 constexpr Bytes kSlotBytes = 1024;
 constexpr Bytes kLogBytes = 8192;
@@ -339,7 +339,7 @@ TEST(RecoverLatest, EmptyLogRecoversTheFullImage)
     publish_full(store, device, 1, 10, image);
 
     std::vector<std::uint8_t> buffer;
-    const auto rec = recover_latest(device, &buffer);
+    const auto rec = recover_to_buffer(device, &buffer);
     ASSERT_TRUE(rec.has_value());
     EXPECT_EQ(rec->counter, 1u);
     EXPECT_EQ(rec->iteration, 10u);
@@ -363,7 +363,7 @@ TEST(RecoverLatest, ReplaysTheChainOnTopOfTheFullImage)
     ASSERT_TRUE(log.append(12, {{256, 64}}, d2.data()).ok());
 
     std::vector<std::uint8_t> buffer;
-    const auto rec = recover_latest(device, &buffer);
+    const auto rec = recover_to_buffer(device, &buffer);
     ASSERT_TRUE(rec.has_value());
     EXPECT_EQ(rec->counter, 1u);
     EXPECT_EQ(rec->iteration, 12u);
@@ -394,7 +394,7 @@ TEST(RecoverLatest, FallbackBaseIgnoresTheNewerChain)
     std::uint8_t byte = 0xFF;
     PCCHECK_MUST(store.write_slot(2 % 3, 100, &byte, 1));
     std::vector<std::uint8_t> buffer;
-    const auto rec = recover_latest(device, &buffer);
+    const auto rec = recover_to_buffer(device, &buffer);
     ASSERT_TRUE(rec.has_value());
     EXPECT_EQ(rec->counter, 1u);
     EXPECT_EQ(rec->iteration, 10u);
@@ -473,7 +473,7 @@ TEST(DeltaOrchestrator, FullLogSkipsInsteadOfWedging)
     EXPECT_EQ(stats.delta_frames, 0u);
     EXPECT_GT(stats.delta_skipped, 0u);
     std::vector<std::uint8_t> buffer;
-    const auto rec = recover_latest(device, &buffer);
+    const auto rec = recover_to_buffer(device, &buffer);
     ASSERT_TRUE(rec.has_value());
     EXPECT_EQ(rec->delta_frames, 0u);
     EXPECT_EQ(rec->iteration % 4, 0u);  // a full-tier checkpoint
@@ -500,7 +500,7 @@ TEST(DeltaOrchestrator, TrainCrashRecoverResumeRoundTrip)
     device.crash();
 
     std::vector<std::uint8_t> buffer;
-    const auto rec = recover_latest(device, &buffer);
+    const auto rec = recover_to_buffer(device, &buffer);
     ASSERT_TRUE(rec.has_value());
     EXPECT_GE(rec->iteration, 4u);   // at least the first full
     EXPECT_LE(rec->iteration, 16u);
@@ -526,6 +526,56 @@ TEST(DeltaOrchestrator, TrainCrashRecoverResumeRoundTrip)
     loop.set_sparse_updates(0.1, 43);
     loop.run(4, 2, checkpointer, rec->iteration + 1);
     EXPECT_EQ(state.iteration(), rec->iteration + 4);
+}
+
+// The stamp oracle follows the arena, not the replay: a full
+// checkpoint of a sparsely updated state already mixes iterations.
+TEST(RecoverIntoState, StampCheckFollowsTheArenaNotTheReplay)
+{
+    // One CRC-valid image whose markers mix iterations 3 and 4, under
+    // a pointer at iteration 4.
+    std::vector<std::uint8_t> image(kStateBytes);
+    TrainingState::stamp_buffer(image.data(), image.size(), 3);
+    TrainingState::sparse_update_buffer(image.data(), image.size(), 4, 0.5,
+                                        7);
+    ASSERT_FALSE(TrainingState::verify_buffer(image.data(), image.size())
+                     .has_value());
+    ASSERT_EQ(TrainingState::verify_buffer_sparse(image.data(),
+                                                  image.size()),
+              std::make_optional<std::uint64_t>(4));
+
+    // No delta region: every checkpoint is one full stamp, so mixed
+    // markers are a torn image and the state stays untouched.
+    {
+        MemStorage device(SlotStore::required_size(3, kStateBytes));
+        SlotStore store = SlotStore::format(device, 3, kStateBytes);
+        publish_full(store, device, 1, 4, image);
+        SimGpu gpu(fast_gpu());
+        TrainingState state(gpu, kStateBytes);
+        EXPECT_FALSE(recover_latest_into_state(device, state).has_value());
+        EXPECT_EQ(state.iteration(), 0u);
+        EXPECT_EQ(TrainingState::verify_buffer(
+                      gpu.device_data(state.device_ptr()), state.size()),
+                  std::make_optional<std::uint64_t>(0));
+    }
+    // Delta region, no frame sealed: the same bytes are a valid base
+    // checkpoint and are restored as they are.
+    {
+        MemStorage device(
+            SlotStore::required_size(3, kStateBytes, kLogBytes));
+        SlotStore store =
+            SlotStore::format(device, 3, kStateBytes, kLogBytes);
+        publish_full(store, device, 1, 4, image);
+        SimGpu gpu(fast_gpu());
+        TrainingState state(gpu, kStateBytes);
+        const auto recovered = recover_latest_into_state(device, state);
+        ASSERT_TRUE(recovered.has_value());
+        EXPECT_EQ(recovered->iteration, 4u);
+        EXPECT_EQ(recovered->delta_frames, 0u);
+        EXPECT_EQ(state.iteration(), 4u);
+        EXPECT_TRUE(std::equal(image.begin(), image.end(),
+                               gpu.device_data(state.device_ptr())));
+    }
 }
 
 }  // namespace

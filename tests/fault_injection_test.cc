@@ -128,7 +128,7 @@ TEST(FaultInjectionTest, HeaderCorruptionFailsOpen)
     smash(*device, 0, 8, 0x00);  // destroy the magic
     EXPECT_THROW(SlotStore::open(*device), FatalError);
     std::vector<std::uint8_t> buffer;
-    EXPECT_THROW(recover_to_buffer(*device, &buffer), FatalError);
+    EXPECT_FALSE(recover_to_buffer(*device, &buffer).has_value());
 }
 
 TEST(FaultInjectionTest, HeaderGeometryLiesAreRejected)
@@ -166,8 +166,8 @@ TEST(FaultInjectionTest, RecordPointingPastSlotsRejected)
 TEST(FaultInjectionTest, RandomCorruptionNeverYieldsGarbage)
 {
     // Fuzz: random 64-byte smashes anywhere on the device. Recovery
-    // must either fail, throw FatalError (header destroyed), or
-    // return a checkpoint whose stamp verifies.
+    // must either report no checkpoint (also when the header is
+    // destroyed) or return a checkpoint whose stamp verifies.
     Rng rng(2026);
     for (int round = 0; round < 40; ++round) {
         auto device = device_with_two_checkpoints();
@@ -175,17 +175,12 @@ TEST(FaultInjectionTest, RandomCorruptionNeverYieldsGarbage)
         smash(*device, offset, 64,
               static_cast<std::uint8_t>(rng.next_u64()));
         std::vector<std::uint8_t> buffer;
-        try {
-            const auto recovered = recover_to_buffer(*device, &buffer);
-            if (recovered.has_value()) {
-                const auto stamped = TrainingState::verify_buffer(
-                    buffer.data(), buffer.size());
-                ASSERT_TRUE(stamped.has_value()) << "round " << round;
-                EXPECT_EQ(*stamped, recovered->iteration)
-                    << "round " << round;
-            }
-        } catch (const FatalError&) {
-            // Header destroyed: a clean, reported failure.
+        const auto recovered = recover_to_buffer(*device, &buffer);
+        if (recovered.has_value()) {
+            const auto stamped =
+                TrainingState::verify_buffer(buffer.data(), buffer.size());
+            ASSERT_TRUE(stamped.has_value()) << "round " << round;
+            EXPECT_EQ(*stamped, recovered->iteration) << "round " << round;
         }
     }
 }

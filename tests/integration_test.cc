@@ -69,7 +69,7 @@ TEST(IntegrationTest, TrainCrashRecoverResume)
     // A fresh process recovers and resumes training.
     SimGpu gpu(fast_gpu());
     TrainingState state(gpu, kStateBytes);
-    const auto recovered = recover_into_state(device, state);
+    const auto recovered = recover_latest_into_state(device, state);
     ASSERT_TRUE(recovered.has_value());
     // Checkpoints were taken at 3,6,9,12,15; at least the last one the
     // orchestrator drained must be recovered.
@@ -98,7 +98,7 @@ TEST(IntegrationTest, RepeatedCrashesNeverLoseAllProgress)
         SimGpu gpu(fast_gpu());
         TrainingState state(gpu, kStateBytes);
         if (round > 0) {
-            const auto recovered = recover_into_state(device, state);
+            const auto recovered = recover_latest_into_state(device, state);
             ASSERT_TRUE(recovered.has_value()) << "round " << round;
             EXPECT_GE(recovered->iteration, resume_from)
                 << "round " << round;
@@ -138,7 +138,7 @@ TEST(IntegrationTest, FileBackedSurvivesProcessBoundary)
         SimGpu gpu(fast_gpu());
         TrainingState state(gpu, kStateBytes);
         FileStorage device(path, SlotStore::required_size(4, kStateBytes));
-        const auto recovered = recover_into_state(device, state);
+        const auto recovered = recover_latest_into_state(device, state);
         ASSERT_TRUE(recovered.has_value());
         EXPECT_EQ(recovered->iteration, 12u);
     }

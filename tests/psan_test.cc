@@ -359,7 +359,7 @@ TEST_F(PsanTest, FaithfulPublishRecoverCycleIsClean)
     EXPECT_EQ(device.last_published_counter(), 4u);
 
     std::vector<std::uint8_t> out;
-    const auto recovered = recover_latest(device, &out);
+    const auto recovered = recover_to_buffer(device, &out);
     ASSERT_TRUE(recovered.has_value());
     EXPECT_EQ(recovered->counter, 4u);
     EXPECT_EQ(out, data);
@@ -395,7 +395,7 @@ TEST_F(PsanTest, OrchestratorInterposesFromConfigAndRunsClean)
     {
         SimGpu gpu(gpu_config);
         TrainingState state(gpu, kState);
-        const auto recovered = recover_into_state(device, state);
+        const auto recovered = recover_latest_into_state(device, state);
         ASSERT_TRUE(recovered.has_value());
         EXPECT_GE(recovered->iteration, 3u);
     }

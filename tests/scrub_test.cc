@@ -334,30 +334,6 @@ TEST(ScrubberTest, ReclaimOfSlotStillInFreePoolIsNotDoubleAdded)
     }
 }
 
-// Regression: a quarantine taken through an independently opened
-// handle on the same device (what RecoveryPlanner does internally) is
-// visible to the original handle immediately, without a reopen — the
-// in-memory quarantine cache is shared per device, not per handle.
-TEST(ScrubberTest, QuarantineOnAnotherHandleIsVisibleImmediately)
-{
-    MemStorage device(SlotStore::required_size(kSlots, kState));
-    SlotStore store = SlotStore::format(device, kSlots, kState);
-    publish(store, device, 1);
-    publish(store, device, 2);
-
-    SlotStore other = SlotStore::open(device);
-    PCCHECK_MUST(other.quarantine_slot(2 % kSlots));
-    EXPECT_TRUE(store.is_quarantined(2 % kSlots));
-    const auto ptr = store.recover_pointer();
-    ASSERT_TRUE(ptr.has_value());
-    EXPECT_EQ(ptr->counter, 1u);  // original handle skips it too
-
-    // The release is visible the other way round as well. (The slot's
-    // bytes were never corrupted here, so releasing is legitimate.)
-    PCCHECK_MUST(other.release_quarantine(2 % kSlots));
-    EXPECT_FALSE(store.is_quarantined(2 % kSlots));
-}
-
 // Regression: concurrent stop()s (an explicit stop racing the
 // destructor) and start()-during-stop must not double-join or assign
 // over a joinable thread handle.
