@@ -1,201 +1,118 @@
 #include "mc/crash_enum.h"
 
 #include <algorithm>
-#include <optional>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "core/recovery.h"
 #include "storage/mem_storage.h"
 #include "util/check.h"
-#include "util/rng.h"
 
 namespace pccheck::mc {
 
 namespace {
 
-/** Newest publish watermark at or before @p op_index (0 = none). */
-std::uint64_t watermark_at(
-    const std::vector<std::pair<std::size_t, std::uint64_t>>& watermarks,
-    std::size_t op_index)
+/** Run recovery on each image and check it against the publish
+ *  watermarks of the model's run. */
+ImageOracle commit_oracle(OpMarks watermarks, Bytes slot_size)
 {
-    std::uint64_t w = 0;
-    for (const auto& [op, counter] : watermarks) {
-        if (op <= op_index) {
-            w = std::max(w, counter);
+    return [watermarks = std::move(watermarks), slot_size](
+               const CrashSnapshot& snap,
+               const std::vector<std::uint8_t>& image)
+               -> std::optional<std::string> {
+        const std::uint64_t watermark = mark_at(watermarks, snap.op_index);
+        MemStorage mem(image.size());
+        std::copy(image.begin(), image.end(), mem.raw());
+        std::vector<std::uint8_t> buffer;
+        const auto recovered = recover_to_buffer(mem, &buffer);
+        if (!recovered.has_value()) {
+            if (watermark != 0) {
+                std::ostringstream os;
+                os << "no recoverable checkpoint although counter "
+                   << watermark << " was durably committed";
+                return os.str();
+            }
+            return std::nullopt;
         }
-    }
-    return w;
-}
-
-/**
- * Materialize the crash image selected by @p mask over the snapshot's
- * unflushed lines, run recovery on it, and check the invariants.
- * @return the violation message, or std::nullopt when the image is
- *         consistent.
- */
-std::optional<std::string> check_image(const CrashSnapshot& snap,
-                                       std::uint64_t mask,
-                                       std::uint64_t watermark,
-                                       Bytes line_size, Bytes slot_size)
-{
-    std::vector<std::uint8_t> image = snap.durable;
-    for (std::size_t i = 0; i < snap.lines.size(); ++i) {
-        if (((mask >> i) & 1u) == 0) {
-            continue;
-        }
-        const Bytes start = snap.lines[i] * line_size;
-        std::copy(snap.line_data[i].begin(), snap.line_data[i].end(),
-                  image.begin() + static_cast<std::ptrdiff_t>(start));
-    }
-    MemStorage mem(image.size());
-    std::copy(image.begin(), image.end(), mem.raw());
-    std::vector<std::uint8_t> buffer;
-    std::optional<RecoveryResult> recovered;
-    try {
-        recovered = recover_to_buffer(mem, &buffer);
-    } catch (const FatalError& e) {
-        return std::string("recovery raised: ") + e.what();
-    }
-
-    if (!recovered.has_value()) {
-        if (watermark != 0) {
+        if (recovered->counter < watermark) {
             std::ostringstream os;
-            os << "no recoverable checkpoint although counter "
-               << watermark << " was durably committed";
+            os << "recovered counter " << recovered->counter
+               << " is older than durably committed " << watermark;
             return os.str();
         }
-        return std::nullopt;
-    }
-    if (recovered->counter < watermark) {
-        std::ostringstream os;
-        os << "recovered counter " << recovered->counter
-           << " is older than durably committed " << watermark;
-        return os.str();
-    }
-    if (recovered->iteration != recovered->counter) {
-        std::ostringstream os;
-        os << "recovered iteration " << recovered->iteration
-           << " != counter " << recovered->counter;
-        return os.str();
-    }
-    if (buffer.size() != slot_size) {
-        return std::string("recovered payload has wrong length");
-    }
-    for (Bytes j = 0; j < buffer.size(); ++j) {
-        if (buffer[j] != payload_byte(recovered->counter, j)) {
+        if (recovered->iteration != recovered->counter) {
             std::ostringstream os;
-            os << "recovered payload of checkpoint " << recovered->counter
-               << " corrupt at byte " << j;
+            os << "recovered iteration " << recovered->iteration
+               << " != counter " << recovered->counter;
             return os.str();
         }
-    }
-    return std::nullopt;
-}
-
-/** The masks to try at one crash point. */
-std::vector<std::uint64_t> masks_for(std::size_t num_lines,
-                                     std::size_t op_index,
-                                     const CrashEnumOptions& opts,
-                                     bool* sampled)
-{
-    std::vector<std::uint64_t> masks;
-    if (num_lines <= opts.exhaustive_line_limit) {
-        const std::uint64_t count = 1ULL << num_lines;
-        masks.reserve(count);
-        for (std::uint64_t m = 0; m < count; ++m) {
-            masks.push_back(m);
+        if (buffer.size() != slot_size) {
+            return std::string("recovered payload has wrong length");
         }
-        return masks;
-    }
-    *sampled = true;
-    const std::uint64_t full = num_lines >= 64
-                                   ? ~0ULL
-                                   : (1ULL << num_lines) - 1;
-    masks.push_back(0);     // pure durable image
-    masks.push_back(full);  // everything reached the media
-    Rng rng(opts.seed ^ (0x9E3779B97F4A7C15ULL * (op_index + 1)));
-    for (std::size_t k = 0; k < opts.sampled_masks; ++k) {
-        masks.push_back(rng.next_u64() & full);
-    }
-    return masks;
-}
-
-}  // namespace
-
-CrashEnumResult enumerate_crashes(const ModelConfig& config,
-                                  Mutation mutation, Strategy& strategy,
-                                  const CrashEnumOptions& opts)
-{
-    ModelConfig snap_config = config;
-    snap_config.snapshot_crashes = true;
-    CommitModel model(snap_config, mutation);
-    const RunResult run = model.run(strategy);
-
-    CrashEnumResult out;
-    if (run.violated) {
-        out.violated = true;
-        out.schedule_violation = true;
-        out.message = run.message;
-        out.token = encode_token(snap_config.threads, run.choices);
-        return out;
-    }
-
-    const Bytes line_size = model.line_size();
-    for (const CrashSnapshot& snap : model.snapshots()) {
-        ++out.crash_points;
-        const std::uint64_t watermark =
-            watermark_at(model.watermarks(), snap.op_index);
-        bool sampled = false;
-        const std::vector<std::uint64_t> masks =
-            masks_for(snap.lines.size(), snap.op_index, opts, &sampled);
-        if (sampled) {
-            ++out.sampled_points;
-        }
-        for (std::uint64_t mask : masks) {
-            ++out.images;
-            const auto violation = check_image(snap, mask, watermark,
-                                               line_size,
-                                               snap_config.slot_size);
-            if (violation.has_value()) {
-                out.violated = true;
-                out.message = *violation;
-                out.token = encode_token(snap_config.threads, run.choices,
-                                         snap.op_index, mask);
-                return out;
+        for (Bytes j = 0; j < buffer.size(); ++j) {
+            if (buffer[j] != payload_byte(recovered->counter, j)) {
+                std::ostringstream os;
+                os << "recovered payload of checkpoint "
+                   << recovered->counter << " corrupt at byte " << j;
+                return os.str();
             }
         }
+        return std::nullopt;
+    };
+}
+
+/** Name @p out by @p run's schedule: a violation of the run itself
+ *  replaces it, and a violating image's crash clause gets the
+ *  schedule as its prefix. */
+CrashImageResult with_schedule(CrashImageResult out, int threads,
+                               const RunResult& run)
+{
+    if (run.violated) {
+        out.violated = true;
+        out.message = run.message;
+        out.token = encode_token(threads, run.choices);
+    } else if (out.violated) {
+        out.token = encode_token(threads, run.choices, out.crash_op,
+                                 out.crash_mask);
     }
     return out;
 }
 
-std::string replay_crash_token(const ModelConfig& config, Mutation mutation,
-                               const ReplayToken& token)
+}  // namespace
+
+CrashImageResult enumerate_crashes(const ModelConfig& config,
+                                   Mutation mutation, Strategy& strategy)
 {
-    ModelConfig snap_config = config;
-    snap_config.snapshot_crashes = true;
-    snap_config.threads = token.num_threads;
-    CommitModel model(snap_config, mutation);
+    CommitModel model(config, mutation);
+    CrashTrace trace;
+    const RunResult run = model.run(strategy, &trace);
+    CrashImageResult out;
+    if (!run.violated) {
+        out = enumerate_images(
+            trace, commit_oracle(model.watermarks(), config.slot_size));
+    }
+    return with_schedule(std::move(out), config.threads, run);
+}
+
+CrashImageResult replay_crash_token(const ModelConfig& config,
+                                    Mutation mutation,
+                                    const ReplayToken& token)
+{
+    ModelConfig replay_config = config;
+    replay_config.threads = token.num_threads;
+    CommitModel model(replay_config, mutation);
     PrefixStrategy strategy(token.choices);
-    const RunResult run = model.run(strategy);
-    if (run.violated) {
-        return run.message;
+    CrashTrace trace;
+    const RunResult run =
+        model.run(strategy, token.crash_op.has_value() ? &trace : nullptr);
+    CrashImageResult out;
+    if (!run.violated && token.crash_op.has_value()) {
+        out = replay_image(
+            trace, *token.crash_op, token.crash_mask,
+            commit_oracle(model.watermarks(), replay_config.slot_size));
     }
-    if (!token.crash_op.has_value()) {
-        return "";
-    }
-    for (const CrashSnapshot& snap : model.snapshots()) {
-        if (snap.op_index != *token.crash_op) {
-            continue;
-        }
-        const std::uint64_t watermark =
-            watermark_at(model.watermarks(), snap.op_index);
-        const auto violation =
-            check_image(snap, token.crash_mask, watermark,
-                        model.line_size(), snap_config.slot_size);
-        return violation.value_or("");
-    }
-    return "replay: crash point not reached (divergent schedule?)";
+    return with_schedule(std::move(out), token.num_threads, run);
 }
 
 }  // namespace pccheck::mc

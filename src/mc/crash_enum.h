@@ -3,16 +3,13 @@
 
 /**
  * @file
- * Crash-state enumeration over the recorded persist trace.
+ * The commit protocol's crash mode: workload and oracle for the
+ * shared enumerator (crash_images.h).
  *
- * One scheduled execution of the commit model records a CrashSnapshot
- * after every storage operation (write / persist / fence): the
- * durable image plus the volatile content of every unflushed line.
- * A real power failure at that instant preserves an ARBITRARY subset
- * of the unflushed lines (paper §2.3 — cache eviction order is not
- * program order), so each snapshot induces 2^n candidate post-crash
- * images. The enumerator materializes each one, runs the real
- * recovery path (recover_to_buffer) against it, and asserts:
+ * The workload is one scheduled execution of the commit model, which
+ * records a crash snapshot after every storage op. The oracle runs
+ * the real recovery path (recover_to_buffer) on each crash image and
+ * asserts:
  *
  *  - once a commit() has returned with its record durably published
  *    (the model's publish watermark), EVERY later crash image must
@@ -22,65 +19,37 @@
  *    counter and the payload matches the deterministic pattern
  *    (recovery's CRC machinery must never accept torn data).
  *
- * Beyond `exhaustive_line_limit` unflushed lines the mask space is
- * sampled (`sampled_masks` seeded draws, always including the empty
- * and full masks) and the truncation is reported in the result.
- *
  * A violating (schedule, crash point, mask) triple is encoded as a
  * replay token with a crash clause (token.h); replay_crash_token
- * re-runs exactly that image and returns the same verdict.
+ * re-runs exactly that image and returns the same verdict. A
+ * violation of the scheduled run itself carries a token without a
+ * crash clause.
  */
 
-#include <cstdint>
-#include <string>
-
+#include "mc/crash_images.h"
 #include "mc/models.h"
 #include "mc/token.h"
 
 namespace pccheck::mc {
 
-/** Bounds for the mask enumeration at each crash point. */
-struct CrashEnumOptions {
-    /** Enumerate all 2^n masks up to this many unflushed lines. */
-    std::size_t exhaustive_line_limit = 12;
-    /** Seeded samples past the limit (plus empty + full masks). */
-    std::size_t sampled_masks = 4096;
-    std::uint64_t seed = 1;
-};
-
-/** Outcome of one crash enumeration. */
-struct CrashEnumResult {
-    bool violated = false;
-    /** The scheduled run itself violated (no crash clause). */
-    bool schedule_violation = false;
-    std::string message;
-    /** Replay token of the first violation (with crash clause unless
-     *  schedule_violation). */
-    std::string token;
-    std::size_t crash_points = 0;
-    std::size_t images = 0;
-    /** Crash points where the mask space was sampled, not enumerated. */
-    std::size_t sampled_points = 0;
-};
+/**
+ * Run the commit model once under @p strategy, recording crash
+ * points, then enumerate crash images at every recorded storage op.
+ * Stops at the first violation.
+ */
+CrashImageResult enumerate_crashes(const ModelConfig& config,
+                                   Mutation mutation, Strategy& strategy);
 
 /**
- * Run the commit model once under @p strategy with snapshotting on,
- * then enumerate crash images at every recorded storage op. Stops at
- * the first violation.
+ * Deterministically re-run @p token with @p token.num_threads
+ * threads: its schedule, then its crash image when it has a crash
+ * clause. A schedule-only token gets the end-state checks of a
+ * normal run. A crash clause whose op the run never reaches yields
+ * `crash_points == 0` and no violation.
  */
-CrashEnumResult enumerate_crashes(const ModelConfig& config,
-                                  Mutation mutation, Strategy& strategy,
-                                  const CrashEnumOptions& opts =
-                                      CrashEnumOptions());
-
-/**
- * Deterministically re-run a violating token produced by
- * enumerate_crashes (schedule prefix + crash clause).
- * @return the violation message, or an empty string when the token's
- *         image now passes (e.g. the bug was fixed).
- */
-std::string replay_crash_token(const ModelConfig& config, Mutation mutation,
-                               const ReplayToken& token);
+CrashImageResult replay_crash_token(const ModelConfig& config,
+                                    Mutation mutation,
+                                    const ReplayToken& token);
 
 }  // namespace pccheck::mc
 

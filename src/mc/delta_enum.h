@@ -9,11 +9,11 @@
  * The workload is a deterministic single-writer program — exactly the
  * production discipline, where only the training thread appends — so
  * there is no schedule dimension to explore; the state space is the
- * crash dimension. The model interleaves full-checkpoint publishes
- * with delta-frame appends over CrashSimStorage, records a
- * CrashSnapshot after every storage op, and the enumerator
- * materializes every (crash point, unflushed-line mask) image, runs
- * the REAL recovery path (recover_to_buffer), and asserts:
+ * crash dimension. The workload interleaves full-checkpoint publishes
+ * with delta-frame appends over CrashSimStorage and records a crash
+ * point after every storage op. For each image the shared enumerator
+ * (crash_images.h) materializes, the oracle runs the REAL recovery
+ * path (recover_to_buffer) and asserts:
  *
  *  - floor: once a full checkpoint's publish or a frame's append has
  *    RETURNED (the durability ack), every later crash image must
@@ -36,8 +36,8 @@
  */
 
 #include <cstdint>
-#include <string>
 
+#include "mc/crash_images.h"
 #include "util/bytes.h"
 
 namespace pccheck::mc {
@@ -60,41 +60,19 @@ struct DeltaModelConfig {
     std::uint64_t storage_seed = 1;
 };
 
-/** Bounds for the mask enumeration at each crash point. */
-struct DeltaEnumOptions {
-    std::size_t exhaustive_line_limit = 10;
-    std::size_t sampled_masks = 512;
-    std::uint64_t seed = 1;
-};
-
-/** Outcome of one delta crash enumeration. */
-struct DeltaEnumResult {
-    bool violated = false;
-    std::string message;
-    std::size_t crash_points = 0;
-    std::size_t images = 0;
-    std::size_t sampled_points = 0;
+/** One run of the delta workload. */
+struct DeltaWorkload : CrashWorkload {
     std::size_t frames_sealed = 0;
     std::size_t fulls_published = 0;
-    /** First violating image (valid iff violated). */
-    std::size_t crash_op = 0;
-    std::uint64_t crash_mask = 0;
 };
 
-/** Run the workload once, then enumerate crash images at every
- *  recorded storage op. Stops at the first violation. */
-DeltaEnumResult enumerate_delta_crashes(
-    const DeltaModelConfig& config, DeltaMutation mutation,
-    const DeltaEnumOptions& opts = DeltaEnumOptions());
-
 /**
- * Re-run one (crash op, mask) image from a violating enumeration —
- * the workload is deterministic, so this reproduces it exactly.
- * @return the violation message, or "" when the image now passes.
+ * Run the workload once on a fresh device, recording every storage
+ * op after format() as a crash point. The workload is deterministic,
+ * so a fresh run replays a violating image exactly.
  */
-std::string replay_delta_crash(const DeltaModelConfig& config,
-                               DeltaMutation mutation, std::size_t crash_op,
-                               std::uint64_t crash_mask);
+DeltaWorkload run_delta_workload(const DeltaModelConfig& config,
+                                 DeltaMutation mutation);
 
 }  // namespace pccheck::mc
 

@@ -20,7 +20,8 @@
  *
  * Exit code 0 = clean (for mutations: every mutation caught),
  * 1 = violation found (for mutations: a mutation escaped),
- * 2 = usage error.
+ * 2 = usage error, or a replay token naming a crash point its run
+ * never reaches.
  */
 
 #include <algorithm>
@@ -28,9 +29,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "mc/crash_enum.h"
+#include "mc/crash_images.h"
 #include "mc/delta_enum.h"
 #include "mc/recovery_enum.h"
 #include "mc/explore.h"
@@ -164,7 +168,7 @@ int run_crash(const Args& args)
     for (std::size_t k = 0; k < args.schedules; ++k) {
         PctStrategy strategy(args.seed + k, args.threads, /*depth=*/3,
                              expected_length(args));
-        const CrashEnumResult r =
+        const CrashImageResult r =
             enumerate_crashes(config, args.mutation, strategy);
         points += r.crash_points;
         images += r.images;
@@ -184,153 +188,111 @@ int run_crash(const Args& args)
     return 0;
 }
 
-bool parse_delta_mutation(const std::string& name, DeltaMutation* out)
+/**
+ * A deterministic crash mode: named variants of one workload, the
+ * faithful one first, each run fresh on demand.
+ */
+struct CrashMode {
+    const char* name;  ///< the --mode value
+    const char* flag;  ///< the variant-selecting flag
+    std::vector<const char*> variants;
+    /** Run variant @p v once; sets @p *fields to the mode's own
+     *  summary-line fields. */
+    std::function<CrashWorkload(std::size_t v, std::string* fields)> run;
+    const char* all_caught;  ///< printed when the meta-check passes
+};
+
+CrashMode delta_mode(std::uint64_t seed)
 {
-    if (name == "none") {
-        *out = DeltaMutation::kNone;
-    } else if (name == "ack_before_payload") {
-        *out = DeltaMutation::kAckBeforePayload;
-    } else if (name == "reset_before_publish") {
-        *out = DeltaMutation::kResetBeforePublish;
-    } else {
-        return false;
-    }
-    return true;
+    static constexpr DeltaMutation kVariants[] = {
+        DeltaMutation::kNone, DeltaMutation::kAckBeforePayload,
+        DeltaMutation::kResetBeforePublish};
+    return CrashMode{
+        "delta-crash", "--delta-mutation",
+        {"none", "ack_before_payload", "reset_before_publish"},
+        [seed](std::size_t v, std::string* fields) -> CrashWorkload {
+            DeltaModelConfig config;
+            config.storage_seed = seed;
+            DeltaWorkload w = run_delta_workload(config, kVariants[v]);
+            *fields = "frames=" + std::to_string(w.frames_sealed) +
+                      " fulls=" + std::to_string(w.fulls_published);
+            return w;
+        },
+        "[mc] delta tier clean; all delta mutations caught"};
 }
 
-const char* delta_mutation_name(DeltaMutation m)
+CrashMode recovery_mode(std::uint64_t seed)
 {
-    switch (m) {
-      case DeltaMutation::kNone:
-        return "none";
-      case DeltaMutation::kAckBeforePayload:
-        return "ack_before_payload";
-      case DeltaMutation::kResetBeforePublish:
-        return "reset_before_publish";
-    }
-    return "?";
+    static constexpr RecoveryMutation kVariants[] = {
+        RecoveryMutation::kNone, RecoveryMutation::kRepairOverLastGood};
+    return CrashMode{
+        "recovery-crash", "--recovery-mutation",
+        {"none", "repair_over_last_good"},
+        [seed](std::size_t v, std::string* fields) -> CrashWorkload {
+            RecoveryModelConfig config;
+            config.storage_seed = seed;
+            RecoveryWorkload w = run_recovery_workload(config, kVariants[v]);
+            *fields = std::string("salvaged=") + (w.salvaged ? "1" : "0");
+            return w;
+        },
+        "[mc] recovery re-entrant; salvage mutation caught"};
 }
 
-/** One delta-crash enumeration; @return its exit code contribution. */
-int run_delta_one(const Args& args, DeltaMutation mutation)
+/**
+ * Enumerate variant @p v of @p mode and print its summary line. A
+ * violation must reproduce from its crash clause on a fresh run, since
+ * the workload is deterministic.
+ * @return 0 clean, 1 violation that reproduces, 2 one that does not.
+ */
+int run_variant(const CrashMode& mode, std::size_t v)
 {
-    DeltaModelConfig config;
-    config.storage_seed = args.seed;
-    DeltaEnumOptions opts;
-    opts.seed = args.seed;
-    const DeltaEnumResult r = enumerate_delta_crashes(config, mutation, opts);
-    std::printf("[mc] delta-crash mutation=%s crash_points=%zu images=%zu "
-                "sampled_points=%zu frames=%zu fulls=%zu %s\n",
-                delta_mutation_name(mutation), r.crash_points, r.images,
-                r.sampled_points, r.frames_sealed, r.fulls_published,
+    std::string fields;
+    const CrashWorkload w = mode.run(v, &fields);
+    const CrashImageResult r = enumerate_images(w.trace, w.oracle);
+    std::printf("[mc] %s mutation=%s crash_points=%zu images=%zu "
+                "sampled_points=%zu %s %s\n",
+                mode.name, mode.variants[v], r.crash_points, r.images,
+                r.sampled_points, fields.c_str(),
                 r.violated ? "VIOLATED" : "clean");
     if (!r.violated) {
         return 0;
     }
     std::printf("[mc] VIOLATION: %s\n", r.message.c_str());
-    std::printf("[mc] replay: crash_op=%zu mask=0x%llx\n", r.crash_op,
-                static_cast<unsigned long long>(r.crash_mask));
-    // The workload is deterministic: the (crash_op, mask) pair must
-    // reproduce the violation on a fresh run.
-    const std::string replayed =
-        replay_delta_crash(config, mutation, r.crash_op, r.crash_mask);
-    if (replayed.empty()) {
-        std::printf("[mc] delta-crash replay did NOT reproduce\n");
+    std::printf("[mc] replay: %s\n", r.token.c_str());
+    const CrashWorkload fresh = mode.run(v, &fields);
+    const CrashImageResult replayed =
+        replay_image(fresh.trace, r.crash_op, r.crash_mask, fresh.oracle);
+    if (!replayed.violated) {
+        std::printf("[mc] %s replay did NOT reproduce\n", mode.name);
         return 2;
     }
-    std::printf("[mc] replay reproduced: %s\n", replayed.c_str());
+    std::printf("[mc] replay reproduced: %s\n", replayed.message.c_str());
     return 1;
 }
 
-int run_delta_crash(const Args& args)
+/**
+ * Run the variant @p selector names, or for "all" the meta-check: the
+ * faithful variant must be clean AND every mutant caught with a
+ * reproducing replay — otherwise the checker has no teeth.
+ */
+int run_crash_mode(const CrashMode& mode, const std::string& selector)
 {
-    if (args.delta_mutation != "all") {
-        DeltaMutation mutation{};
-        if (!parse_delta_mutation(args.delta_mutation, &mutation)) {
-            std::fprintf(stderr, "[mc] bad --delta-mutation %s\n",
-                         args.delta_mutation.c_str());
-            return 2;
+    if (selector != "all") {
+        for (std::size_t v = 0; v < mode.variants.size(); ++v) {
+            if (selector == mode.variants[v]) {
+                return run_variant(mode, v);
+            }
         }
-        return run_delta_one(args, mutation);
+        std::fprintf(stderr, "[mc] bad %s %s\n", mode.flag,
+                     selector.c_str());
+        return 2;
     }
-    // Meta-check: the faithful appender must be clean AND both
-    // weakened variants must be caught (with reproducing replays).
-    bool ok = run_delta_one(args, DeltaMutation::kNone) == 0;
-    ok = run_delta_one(args, DeltaMutation::kAckBeforePayload) == 1 && ok;
-    ok = run_delta_one(args, DeltaMutation::kResetBeforePublish) == 1 && ok;
+    bool ok = run_variant(mode, 0) == 0;
+    for (std::size_t v = 1; v < mode.variants.size(); ++v) {
+        ok = run_variant(mode, v) == 1 && ok;
+    }
     if (ok) {
-        std::printf("[mc] delta tier clean; all delta mutations caught\n");
-    }
-    return ok ? 0 : 1;
-}
-
-bool parse_recovery_mutation(const std::string& name,
-                             RecoveryMutation* out)
-{
-    if (name == "none") {
-        *out = RecoveryMutation::kNone;
-    } else if (name == "repair_over_last_good") {
-        *out = RecoveryMutation::kRepairOverLastGood;
-    } else {
-        return false;
-    }
-    return true;
-}
-
-const char* recovery_mutation_name(RecoveryMutation m)
-{
-    switch (m) {
-      case RecoveryMutation::kNone:
-        return "none";
-      case RecoveryMutation::kRepairOverLastGood:
-        return "repair_over_last_good";
-    }
-    return "?";
-}
-
-/** One recovery-crash enumeration; @return its exit code. */
-int run_recovery_one(const Args& args, RecoveryMutation mutation)
-{
-    RecoveryModelConfig config;
-    config.storage_seed = args.seed;
-    RecoveryEnumOptions opts;
-    opts.seed = args.seed;
-    const RecoveryEnumResult r =
-        enumerate_recovery_crashes(config, mutation, opts);
-    std::printf("[mc] recovery-crash mutation=%s crash_points=%zu "
-                "images=%zu sampled_points=%zu salvaged=%d %s\n",
-                recovery_mutation_name(mutation), r.crash_points,
-                r.images, r.sampled_points, r.salvaged ? 1 : 0,
-                r.violated ? "VIOLATED" : "clean");
-    if (!r.violated) {
-        return 0;
-    }
-    std::printf("[mc] VIOLATION: %s\n", r.message.c_str());
-    std::printf("[mc] at crash_op=%zu mask=0x%llx\n", r.crash_op,
-                static_cast<unsigned long long>(r.crash_mask));
-    return 1;
-}
-
-int run_recovery_crash(const Args& args)
-{
-    if (args.recovery_mutation != "all") {
-        RecoveryMutation mutation{};
-        if (!parse_recovery_mutation(args.recovery_mutation, &mutation)) {
-            std::fprintf(stderr, "[mc] bad --recovery-mutation %s\n",
-                         args.recovery_mutation.c_str());
-            return 2;
-        }
-        return run_recovery_one(args, mutation);
-    }
-    // Meta-check: the real planner's quarantine+salvage must survive
-    // every crash image, AND the weakened salvage must be caught —
-    // otherwise the checker has no teeth.
-    bool ok = run_recovery_one(args, RecoveryMutation::kNone) == 0;
-    ok = run_recovery_one(args, RecoveryMutation::kRepairOverLastGood) ==
-             1 &&
-         ok;
-    if (ok) {
-        std::printf("[mc] recovery re-entrant; salvage mutation caught\n");
+        std::printf("%s\n", mode.all_caught);
     }
     return ok ? 0 : 1;
 }
@@ -342,20 +304,17 @@ int run_replay(const Args& args)
         std::fprintf(stderr, "[mc] bad token: %s\n", args.token.c_str());
         return 2;
     }
-    ModelConfig config = config_from(args);
-    config.threads = token->num_threads;
-    std::string message;
-    if (token->crash_op.has_value()) {
-        message = replay_crash_token(config, args.mutation, *token);
-    } else {
-        CommitModel model(config, args.mutation);
-        PrefixStrategy strategy(token->choices);
-        const RunResult r = model.run(strategy);
-        message = r.violated ? r.message : "";
-    }
-    if (!message.empty()) {
-        std::printf("[mc] replay reproduced: %s\n", message.c_str());
+    const CrashImageResult r =
+        replay_crash_token(config_from(args), args.mutation, *token);
+    if (r.violated) {
+        std::printf("[mc] replay reproduced: %s\n", r.message.c_str());
         return 1;
+    }
+    if (token->crash_op.has_value() && r.crash_points == 0) {
+        std::printf("[mc] replay: the run never reached crash point %zu "
+                    "(divergent schedule?)\n",
+                    *token->crash_op);
+        return 2;
     }
     std::printf("[mc] replay found no violation\n");
     return 0;
@@ -385,7 +344,7 @@ bool check_mutation(const Args& args, Mutation mutation)
         // Invisible to scheduling invariants — the crash enumerator
         // owns this bug class.
         DefaultStrategy strategy;
-        const CrashEnumResult r =
+        const CrashImageResult r =
             enumerate_crashes(config, mutation, strategy);
         if (!r.violated) {
             std::printf("[mc] mutation %s: NOT caught (crash-enum "
@@ -423,16 +382,7 @@ bool check_mutation(const Args& args, Mutation mutation)
                     token_text.c_str());
         return false;
     }
-    std::string replayed;
-    if (token->crash_op.has_value()) {
-        replayed = replay_crash_token(config, mutation, *token);
-    } else {
-        CommitModel model(config, mutation);
-        PrefixStrategy strategy(token->choices);
-        const RunResult r = model.run(strategy);
-        replayed = r.violated ? r.message : "";
-    }
-    if (replayed.empty()) {
+    if (!replay_crash_token(config, mutation, *token).violated) {
         std::printf("[mc] mutation %s: token '%s' did not replay\n", name,
                     token_text.c_str());
         return false;
@@ -551,10 +501,11 @@ int run(int argc, char** argv)
         return run_crash(args);
     }
     if (args.mode == "delta-crash") {
-        return run_delta_crash(args);
+        return run_crash_mode(delta_mode(args.seed), args.delta_mutation);
     }
     if (args.mode == "recovery-crash") {
-        return run_recovery_crash(args);
+        return run_crash_mode(recovery_mode(args.seed),
+                              args.recovery_mutation);
     }
     if (args.mode == "mutations") {
         return run_mutations(args);

@@ -9,10 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "mc/crash_enum.h"
+#include "mc/crash_images.h"
 #include "mc/delta_enum.h"
 #include "mc/recovery_enum.h"
 #include "mc/explore.h"
@@ -42,7 +45,8 @@ TEST(Token, RoundTripsCrashClause)
 {
     const std::vector<std::uint8_t> choices = {1, 0};
     const std::string text = encode_token(2, choices, 27, 0x1b);
-    EXPECT_EQ(text, "v1.2.1,0.crash@27:0x1b");
+    EXPECT_EQ(text, "v1.2.1,0." + crash_clause(27, 0x1b));
+    EXPECT_EQ(crash_clause(27, 0x1b), "crash@27:0x1b");
     const auto token = decode_token(text);
     ASSERT_TRUE(token.has_value());
     ASSERT_TRUE(token->crash_op.has_value());
@@ -59,6 +63,13 @@ TEST(Token, RejectsGarbage)
     EXPECT_FALSE(decode_token("v1.2.5").has_value());  // thread out of range
     EXPECT_FALSE(decode_token("v1.2.0.crash@3").has_value());
     EXPECT_FALSE(decode_token("v1.2.0.crash@3:0xzz").has_value());
+    // Only the digits the grammar names: no sign, no leading space,
+    // no second hex prefix.
+    EXPECT_FALSE(decode_token("v1.2.0.crash@-1:0x0").has_value());
+    EXPECT_FALSE(decode_token("v1.+3.0").has_value());
+    EXPECT_FALSE(decode_token("v1. 3.0").has_value());
+    EXPECT_FALSE(decode_token("v1.2.0.crash@3:0x-1").has_value());
+    EXPECT_FALSE(decode_token("v1.2.0.crash@3:0x0x0").has_value());
 }
 
 // ---- scheduler ----
@@ -295,37 +306,135 @@ TEST(Mutations, LostWakeupDeadlocksWhenSlotStarved)
     EXPECT_FALSE(faithful.run(again).violated);
 }
 
+// ---- the shared crash-image enumerator ----
+
+/** One crash point over @p n one-byte lines, every line unflushed:
+ *  durable 0x00, volatile 0xFF. */
+CrashTrace one_byte_lines(std::size_t n)
+{
+    CrashTrace trace;
+    trace.line_size = 1;
+    CrashSnapshot snap;
+    snap.durable.assign(n, 0x00);
+    for (std::size_t i = 0; i < n; ++i) {
+        snap.lines.push_back(i);
+        snap.line_data.push_back({0xFF});
+    }
+    trace.snapshots.push_back(std::move(snap));
+    return trace;
+}
+
+/** Enumerate @p trace with an oracle that accepts and keeps every
+ *  image it is shown. */
+std::vector<std::vector<std::uint8_t>> images_seen(const CrashTrace& trace,
+                                                   CrashImageResult* r)
+{
+    std::vector<std::vector<std::uint8_t>> seen;
+    *r = enumerate_images(
+        trace,
+        [&seen](const CrashSnapshot&, const std::vector<std::uint8_t>& image)
+            -> std::optional<std::string> {
+            seen.push_back(image);
+            return std::nullopt;
+        });
+    return seen;
+}
+
+TEST(CrashImages, PastTheLineLimitSamplesEmptyFullThenSeededMasks)
+{
+    const CrashTrace trace = one_byte_lines(13);
+    CrashImageResult r;
+    const auto seen = images_seen(trace, &r);
+    EXPECT_FALSE(r.violated);
+    EXPECT_EQ(r.crash_points, 1u);
+    EXPECT_EQ(r.sampled_points, 1u);
+    EXPECT_EQ(r.images, 2u + 4096u);
+    ASSERT_EQ(seen.size(), 2u + 4096u);
+    EXPECT_EQ(seen[0], std::vector<std::uint8_t>(13, 0x00));
+    EXPECT_EQ(seen[1], std::vector<std::uint8_t>(13, 0xFF));
+    // The draws are seeded from the op index: a second pass sees the
+    // same images in the same order.
+    CrashImageResult again;
+    EXPECT_EQ(images_seen(trace, &again), seen);
+}
+
+TEST(CrashImages, UpToTheLineLimitEnumeratesEveryMask)
+{
+    const CrashTrace trace = one_byte_lines(12);
+    CrashImageResult r;
+    const auto seen = images_seen(trace, &r);
+    EXPECT_EQ(r.sampled_points, 0u);
+    EXPECT_EQ(r.images, 4096u);
+    const std::set<std::vector<std::uint8_t>> distinct(seen.begin(),
+                                                       seen.end());
+    EXPECT_EQ(distinct.size(), 4096u);
+}
+
+TEST(CrashImages, ReplayOfAnUnrecordedOpIsNoVerdict)
+{
+    const CrashTrace trace = one_byte_lines(2);
+    const ImageOracle reject_all = [](const CrashSnapshot&,
+                                      const std::vector<std::uint8_t>&)
+        -> std::optional<std::string> { return "rejected"; };
+    const CrashImageResult hit = replay_image(trace, 0, 0x3, reject_all);
+    EXPECT_TRUE(hit.violated);
+    EXPECT_EQ(hit.token, "crash@0:0x3");
+    const CrashImageResult miss = replay_image(trace, 7, 0x3, reject_all);
+    EXPECT_FALSE(miss.violated);
+    EXPECT_EQ(miss.crash_points, 0u);
+    EXPECT_EQ(miss.images, 0u);
+}
+
+TEST(CrashImagesDeathTest, MoreUnflushedLinesThanMaskBitsAbort)
+{
+    const CrashTrace trace = one_byte_lines(65);
+    CrashImageResult r;
+    EXPECT_DEATH(images_seen(trace, &r), "a mask holds 64");
+}
+
 // ---- crash enumeration ----
 
 TEST(CrashEnum, Listing1HasNoUnrecoverableImage)
 {
     const ModelConfig config;
     DefaultStrategy strategy;
-    const CrashEnumResult r =
+    const CrashImageResult r =
         enumerate_crashes(config, Mutation::kNone, strategy);
     EXPECT_FALSE(r.violated) << r.message << " token=" << r.token;
-    EXPECT_GT(r.crash_points, 0u);
-    EXPECT_GT(r.images, r.crash_points);
+    EXPECT_EQ(r.crash_points, 18u);
+    EXPECT_EQ(r.images, 30u);
 }
 
 TEST(CrashEnum, NoFenceCaughtAndTokenReplays)
 {
     const ModelConfig config;
     DefaultStrategy strategy;
-    const CrashEnumResult r =
+    const CrashImageResult r =
         enumerate_crashes(config, Mutation::kNoFence, strategy);
     ASSERT_TRUE(r.violated);
-    EXPECT_FALSE(r.schedule_violation);
     const auto token = decode_token(r.token);
     ASSERT_TRUE(token.has_value());
     ASSERT_TRUE(token->crash_op.has_value());
-    const std::string replayed =
+    const CrashImageResult replayed =
         replay_crash_token(config, Mutation::kNoFence, *token);
-    EXPECT_EQ(replayed, r.message);
+    EXPECT_TRUE(replayed.violated);
+    EXPECT_EQ(replayed.message, r.message);
     // The same token against the FIXED algorithm shows no violation.
-    const std::string fixed =
+    const CrashImageResult fixed =
         replay_crash_token(config, Mutation::kNone, *token);
-    EXPECT_EQ(fixed, "");
+    EXPECT_FALSE(fixed.violated) << fixed.message;
+    EXPECT_EQ(fixed.crash_points, 1u);
+}
+
+TEST(CrashEnum, UnreachedCrashPointIsNotReproduced)
+{
+    // The faithful run has 18 crash points; op 999 names none of them.
+    const auto token = decode_token("v1.3..crash@999:0x0");
+    ASSERT_TRUE(token.has_value());
+    const CrashImageResult r =
+        replay_crash_token(ModelConfig(), Mutation::kNone, *token);
+    EXPECT_FALSE(r.violated) << r.message;
+    EXPECT_EQ(r.crash_points, 0u);
 }
 
 TEST(CrashEnum, MutexQueueVariantClean)
@@ -333,53 +442,70 @@ TEST(CrashEnum, MutexQueueVariantClean)
     ModelConfig config;
     config.queue_kind = SlotQueueKind::kMutex;
     DefaultStrategy strategy;
-    const CrashEnumResult r =
+    const CrashImageResult r =
         enumerate_crashes(config, Mutation::kNone, strategy);
     EXPECT_FALSE(r.violated) << r.message;
+    EXPECT_EQ(r.crash_points, 18u);
+    EXPECT_EQ(r.images, 30u);
+}
+
+/** Enumerate one run of a deterministic workload. */
+CrashImageResult enumerate(const CrashWorkload& w)
+{
+    return enumerate_images(w.trace, w.oracle);
+}
+
+/** Replay @p r's violating image on a fresh run @p fresh. */
+CrashImageResult replay(const CrashWorkload& fresh,
+                        const CrashImageResult& r)
+{
+    return replay_image(fresh.trace, r.crash_op, r.crash_mask, fresh.oracle);
 }
 
 TEST(DeltaEnum, FaithfulAppenderHasNoBadImage)
 {
     const DeltaModelConfig config;
-    const DeltaEnumResult r =
-        enumerate_delta_crashes(config, DeltaMutation::kNone);
+    const DeltaWorkload w = run_delta_workload(config, DeltaMutation::kNone);
+    const CrashImageResult r = enumerate(w);
     EXPECT_FALSE(r.violated) << r.message;
-    EXPECT_EQ(r.fulls_published, static_cast<std::size_t>(config.fulls));
-    EXPECT_EQ(r.frames_sealed,
+    EXPECT_EQ(w.fulls_published, static_cast<std::size_t>(config.fulls));
+    EXPECT_EQ(w.frames_sealed,
               static_cast<std::size_t>(config.fulls *
                                        config.deltas_between));
-    EXPECT_GT(r.crash_points, 0u);
-    EXPECT_GT(r.images, r.crash_points);
+    EXPECT_EQ(r.crash_points, 66u);
+    EXPECT_EQ(r.images, 642u);
 }
 
 TEST(DeltaEnum, AckBeforePayloadCaughtAndReplays)
 {
     const DeltaModelConfig config;
-    const DeltaEnumResult r = enumerate_delta_crashes(
-        config, DeltaMutation::kAckBeforePayload);
+    const CrashImageResult r = enumerate(
+        run_delta_workload(config, DeltaMutation::kAckBeforePayload));
     ASSERT_TRUE(r.violated);
-    // Deterministic workload: the (crash_op, mask) pair reproduces.
-    const std::string replayed = replay_delta_crash(
-        config, DeltaMutation::kAckBeforePayload, r.crash_op, r.crash_mask);
-    EXPECT_EQ(replayed, r.message);
+    EXPECT_EQ(r.token, crash_clause(r.crash_op, r.crash_mask));
+    // Deterministic workload: the crash clause reproduces.
+    const CrashImageResult replayed = replay(
+        run_delta_workload(config, DeltaMutation::kAckBeforePayload), r);
+    EXPECT_TRUE(replayed.violated);
+    EXPECT_EQ(replayed.message, r.message);
     // The same image against the FAITHFUL appender is clean.
     // (Op indices differ across variants, so re-check the faithful
     // enumeration end-to-end instead of replaying the same pair.)
-    const DeltaEnumResult fixed =
-        enumerate_delta_crashes(config, DeltaMutation::kNone);
+    const CrashImageResult fixed =
+        enumerate(run_delta_workload(config, DeltaMutation::kNone));
     EXPECT_FALSE(fixed.violated) << fixed.message;
 }
 
 TEST(DeltaEnum, ResetBeforePublishCaughtAndReplays)
 {
     const DeltaModelConfig config;
-    const DeltaEnumResult r = enumerate_delta_crashes(
-        config, DeltaMutation::kResetBeforePublish);
+    const CrashImageResult r = enumerate(
+        run_delta_workload(config, DeltaMutation::kResetBeforePublish));
     ASSERT_TRUE(r.violated);
-    const std::string replayed =
-        replay_delta_crash(config, DeltaMutation::kResetBeforePublish,
-                           r.crash_op, r.crash_mask);
-    EXPECT_EQ(replayed, r.message);
+    const CrashImageResult replayed = replay(
+        run_delta_workload(config, DeltaMutation::kResetBeforePublish), r);
+    EXPECT_TRUE(replayed.violated);
+    EXPECT_EQ(replayed.message, r.message);
 }
 
 TEST(DeltaEnum, DifferentStorageSeedsStayClean)
@@ -387,36 +513,44 @@ TEST(DeltaEnum, DifferentStorageSeedsStayClean)
     for (std::uint64_t seed = 2; seed <= 4; ++seed) {
         DeltaModelConfig config;
         config.storage_seed = seed;
-        const DeltaEnumResult r =
-            enumerate_delta_crashes(config, DeltaMutation::kNone);
+        const CrashImageResult r =
+            enumerate(run_delta_workload(config, DeltaMutation::kNone));
         EXPECT_FALSE(r.violated) << "seed " << seed << ": " << r.message;
+        EXPECT_EQ(r.crash_points, 66u) << "seed " << seed;
+        EXPECT_EQ(r.images, 642u) << "seed " << seed;
     }
 }
 
 TEST(RecoveryEnum, FaithfulSalvageSurvivesEveryCrashImage)
 {
     const RecoveryModelConfig config;
-    const RecoveryEnumResult r =
-        enumerate_recovery_crashes(config, RecoveryMutation::kNone);
+    const RecoveryWorkload w =
+        run_recovery_workload(config, RecoveryMutation::kNone);
+    const CrashImageResult r = enumerate(w);
     EXPECT_FALSE(r.violated) << r.message;
     // The model's planner really did fetch from the peer and salvage —
     // otherwise the enumeration covered nothing interesting.
-    EXPECT_TRUE(r.salvaged);
-    EXPECT_GT(r.crash_points, 0u);
-    EXPECT_GT(r.images, r.crash_points);
+    EXPECT_TRUE(w.salvaged);
+    EXPECT_EQ(r.crash_points, 12u);
+    EXPECT_EQ(r.images, 48u);
 }
 
 TEST(RecoveryEnum, RepairOverLastGoodBreaksLocalFloor)
 {
     const RecoveryModelConfig config;
-    const RecoveryEnumResult r = enumerate_recovery_crashes(
-        config, RecoveryMutation::kRepairOverLastGood);
+    const CrashImageResult r = enumerate(run_recovery_workload(
+        config, RecoveryMutation::kRepairOverLastGood));
     ASSERT_TRUE(r.violated);
     // The weakened salvage destroys the last good local copy while the
     // rotted one is still quarantined: no local floor remains.
     EXPECT_NE(r.message.find("no locally recoverable state"),
               std::string::npos)
         << r.message;
+    const CrashImageResult replayed = replay(
+        run_recovery_workload(config, RecoveryMutation::kRepairOverLastGood),
+        r);
+    EXPECT_TRUE(replayed.violated);
+    EXPECT_EQ(replayed.message, r.message);
 }
 
 TEST(RecoveryEnum, DifferentStorageSeedsStayClean)
@@ -424,9 +558,11 @@ TEST(RecoveryEnum, DifferentStorageSeedsStayClean)
     for (std::uint64_t seed = 2; seed <= 4; ++seed) {
         RecoveryModelConfig config;
         config.storage_seed = seed;
-        const RecoveryEnumResult r =
-            enumerate_recovery_crashes(config, RecoveryMutation::kNone);
+        const CrashImageResult r =
+            enumerate(run_recovery_workload(config, RecoveryMutation::kNone));
         EXPECT_FALSE(r.violated) << "seed " << seed << ": " << r.message;
+        EXPECT_EQ(r.crash_points, 12u) << "seed " << seed;
+        EXPECT_EQ(r.images, 48u) << "seed " << seed;
     }
 }
 
@@ -434,9 +570,11 @@ TEST(RecoveryEnum, MoreCheckpointsStayClean)
 {
     RecoveryModelConfig config;
     config.checkpoints = 5;
-    const RecoveryEnumResult r =
-        enumerate_recovery_crashes(config, RecoveryMutation::kNone);
+    const CrashImageResult r =
+        enumerate(run_recovery_workload(config, RecoveryMutation::kNone));
     EXPECT_FALSE(r.violated) << r.message;
+    EXPECT_EQ(r.crash_points, 12u);
+    EXPECT_EQ(r.images, 48u);
 }
 
 }  // namespace

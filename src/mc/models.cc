@@ -211,15 +211,7 @@ CommitModel::CommitModel(const ModelConfig& config, Mutation mutation)
     state_->done.resize(static_cast<std::size_t>(config_.threads));
 }
 
-CommitModel::~CommitModel()
-{
-    state_->device.set_post_op_hook(nullptr);
-}
-
-Bytes CommitModel::line_size() const
-{
-    return state_->device.line_size();
-}
+CommitModel::~CommitModel() = default;
 
 void CommitModel::thread_body(int t)
 {
@@ -251,48 +243,32 @@ void CommitModel::thread_body(int t)
         state_->done[static_cast<std::size_t>(t)].push_back(
             State::Done{ticket, result});
         if (result.won && result.published) {
-            watermarks_.emplace_back(op_counter_, ticket.counter);
+            watermarks_.emplace_back(recorder_->next_op(), ticket.counter);
         }
     }
 }
 
-RunResult CommitModel::run(Strategy& strategy)
+RunResult CommitModel::run(Strategy& strategy, CrashTrace* trace)
 {
     PCCHECK_CHECK_MSG(!ran_, "CommitModel is single-use");
     ran_ = true;
-
-    state_->device.set_post_op_hook([this](const StorageOp&) {
-        const std::size_t idx = op_counter_++;
-        if (!config_.snapshot_crashes) {
-            return;
-        }
-        CrashSnapshot snap;
-        snap.op_index = idx;
-        snap.durable = state_->device.crash_image_keeping({});
-        snap.lines = state_->device.unflushed_lines();
-        const Bytes line_bytes = state_->device.line_size();
-        const Bytes device_size = state_->device.size();
-        for (Bytes line : snap.lines) {
-            const Bytes start = line * line_bytes;
-            const Bytes len = std::min(line_bytes, device_size - start);
-            std::vector<std::uint8_t> buf(len);
-            PCCHECK_MUST(state_->device.read(start, buf.data(), len));
-            snap.line_data.push_back(std::move(buf));
-        }
-        snapshots_.push_back(std::move(snap));
-    });
 
     std::vector<std::function<void()>> bodies;
     bodies.reserve(static_cast<std::size_t>(config_.threads));
     for (int t = 0; t < config_.threads; ++t) {
         bodies.push_back([this, t] { thread_body(t); });
     }
-    Scheduler scheduler;
-    RunResult result = scheduler.run(bodies, strategy, config_.sched);
-    state_->device.set_post_op_hook(nullptr);
+    RunResult result;
+    {
+        SnapshotRecorder recorder(state_->device, trace);
+        recorder_ = &recorder;
+        Scheduler scheduler;
+        result = scheduler.run(bodies, strategy, config_.sched);
+        recorder_ = nullptr;
+    }
     if (!result.violated) {
         try {
-            check_end_state();
+            check_end_state(trace == nullptr);
         } catch (const Violation& v) {
             result.violated = true;
             result.message = "end-state: " + v.message;
@@ -301,7 +277,7 @@ RunResult CommitModel::run(Strategy& strategy)
     return result;
 }
 
-void CommitModel::check_end_state()
+void CommitModel::check_end_state(bool check_durable_image)
 {
     // 1. Ticket counters must be unique (kTicketReuse detector).
     std::set<std::uint64_t> counters;
@@ -379,11 +355,9 @@ void CommitModel::check_end_state()
     }
 
     // 4. The durable image alone (crash keeping nothing) must recover
-    //    the registered checkpoint with an intact payload. Skipped
-    //    when the crash enumerator is driving — it performs this
-    //    check at EVERY op, not just the end (and owns the kNoFence
-    //    meta-verdict).
-    if (!config_.snapshot_crashes && max_won != 0) {
+    //    the registered checkpoint with an intact payload (unless the
+    //    crash enumerator is driving; see run()).
+    if (check_durable_image && max_won != 0) {
         const std::vector<std::uint8_t> image =
             state_->device.crash_image_keeping({});
         MemStorage mem(image.size());

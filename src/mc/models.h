@@ -11,8 +11,8 @@
  * (byte j of checkpoint c is (c * 131 + j) mod 256, iteration = c)
  * into their slot on a CrashSimStorage, persist + fence it, and
  * commit(). After the scheduled run the driver asserts the end-state
- * invariants (see check_end_state) and, when snapshotting was on,
- * exposes per-storage-op crash snapshots for the enumerator
+ * invariants (see check_end_state); given a CrashTrace, the run also
+ * records a crash snapshot at every storage op for the enumerator
  * (crash_enum.h).
  *
  * Mutations:
@@ -39,6 +39,7 @@
 #include "core/concurrent_commit.h"
 #include "core/free_slot_queue.h"
 #include "core/slot_store.h"
+#include "mc/crash_images.h"
 #include "mc/explore.h"
 #include "mc/scheduler.h"
 #include "mc/shim.h"
@@ -73,20 +74,7 @@ struct ModelConfig {
     /** Run MiniCommit instead of ConcurrentCommit even for kNone
      *  (used by the mini-model sanity checks). */
     bool use_mini = false;
-    /** Record a crash snapshot at every storage op (enumerator). */
-    bool snapshot_crashes = false;
     Scheduler::Options sched;
-};
-
-/** Device state captured after one storage operation. */
-struct CrashSnapshot {
-    std::size_t op_index = 0;
-    /** Durable image — what survives if nothing else is kept. */
-    std::vector<std::uint8_t> durable;
-    /** Unflushed (dirty or fence-pending) lines, ascending. */
-    std::vector<Bytes> lines;
-    /** Volatile content of each line, aligned with `lines`. */
-    std::vector<std::vector<std::uint8_t>> line_data;
 };
 
 /** The deterministic payload byte pattern for checkpoint @p counter. */
@@ -107,16 +95,15 @@ class CommitModel {
      * Run the committer threads under @p strategy, then apply the
      * end-state invariants; a failed invariant is folded into the
      * returned RunResult as a violation. Call at most once.
+     *
+     * Given @p trace, the run records a crash snapshot after every
+     * storage op and skips the end-state check of the durable image:
+     * the crash enumerator checks that image at EVERY op, not just
+     * the end (and owns the kNoFence meta-verdict).
      */
-    RunResult run(Strategy& strategy);
+    RunResult run(Strategy& strategy, CrashTrace* trace = nullptr);
 
     // ---- post-run state for the crash enumerator ----
-
-    /** Snapshots recorded during run() (snapshot_crashes only). */
-    const std::vector<CrashSnapshot>& snapshots() const
-    {
-        return snapshots_;
-    }
 
     /**
      * Publish watermarks: (op index, counter) pairs appended when a
@@ -124,28 +111,21 @@ class CommitModel {
      * index >= w.first onward, recovery of ANY crash image must find
      * a checkpoint with counter >= w.second.
      */
-    const std::vector<std::pair<std::size_t, std::uint64_t>>& watermarks()
-        const
-    {
-        return watermarks_;
-    }
-
-    Bytes line_size() const;
-    std::uint32_t slot_count() const { return slot_count_; }
+    const OpMarks& watermarks() const { return watermarks_; }
 
   private:
     struct State;
 
     void thread_body(int t);
-    void check_end_state();
+    void check_end_state(bool check_durable_image);
 
     ModelConfig config_;
     Mutation mutation_;
     std::uint32_t slot_count_;
     std::unique_ptr<State> state_;
-    std::vector<CrashSnapshot> snapshots_;
-    std::vector<std::pair<std::size_t, std::uint64_t>> watermarks_;
-    std::size_t op_counter_ = 0;
+    /** Numbers storage ops while run() is live. */
+    SnapshotRecorder* recorder_ = nullptr;
+    OpMarks watermarks_;
     bool ran_ = false;
 };
 

@@ -1,9 +1,7 @@
 #include "mc/recovery_enum.h"
 
 #include <algorithm>
-#include <cstring>
 #include <map>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <vector>
@@ -16,7 +14,6 @@
 #include "util/check.h"
 #include "util/crc32.h"
 #include "util/logging.h"
-#include "util/rng.h"
 
 namespace pccheck::mc {
 namespace {
@@ -61,118 +58,25 @@ class MemorySource final : public RecoverySource {
     std::vector<std::uint8_t> image_;
 };
 
-/** Everything the damaged-device salvage run leaves behind. */
-struct RecoveryTrace {
-    std::unique_ptr<CrashSimStorage> device;
-    std::vector<CrashSnapshot> snaps;
-    Bytes image_len = 0;
+/** What the oracle holds each image to. */
+struct RecoveryHistory {
     std::uint64_t last_counter = 0;  ///< K: rotted, then salvaged
     std::uint64_t prev_counter = 0;  ///< K-1: last locally intact
     std::map<std::uint64_t, std::vector<std::uint8_t>> expected;
-    bool salvaged = false;
 };
 
-RecoveryTrace
-run_model(const RecoveryModelConfig& cfg, RecoveryMutation mutation)
-{
-    PCCHECK_CHECK(cfg.checkpoints >= 2);
-    constexpr std::uint32_t kSlots = 2;
-    RecoveryTrace trace;
-    trace.image_len = cfg.image_len;
-    trace.device = std::make_unique<CrashSimStorage>(
-        SlotStore::required_size(kSlots, cfg.image_len),
-        StorageKind::kPmemClwb, cfg.storage_seed,
-        /*eviction_probability=*/0.5);
-    CrashSimStorage& device = *trace.device;
+/** Keeps only warnings for its lifetime: every planner run reports
+ *  its quarantine and salvage steps, and the oracle runs thousands. */
+class QuietLogs {
+  public:
+    QuietLogs() : saved_(log_level()) { set_log_level(LogLevel::kWarn); }
+    ~QuietLogs() { set_log_level(saved_); }
+    QuietLogs(const QuietLogs&) = delete;
+    QuietLogs& operator=(const QuietLogs&) = delete;
 
-    SlotStore store = SlotStore::format(device, kSlots, cfg.image_len);
-    std::vector<std::uint8_t> image(cfg.image_len);
-    for (int c = 1; c <= cfg.checkpoints; ++c) {
-        const auto counter = static_cast<std::uint64_t>(c);
-        for (Bytes j = 0; j < cfg.image_len; ++j) {
-            image[j] = payload_byte(counter, j);
-        }
-        trace.expected[counter] = image;
-        const std::uint32_t slot = counter % kSlots;
-        PCCHECK_MUST(store.write_slot(slot, 0, image.data(), image.size()));
-        PCCHECK_MUST(store.persist_slot_range(slot, 0, image.size()));
-        PCCHECK_MUST(device.fence());
-        PCCHECK_MUST(store.publish_pointer(CheckpointPointer{
-            counter, slot, cfg.image_len, counter * 10,
-            crc32c(image.data(), image.size())}));
-    }
-    trace.last_counter = static_cast<std::uint64_t>(cfg.checkpoints);
-    trace.prev_counter = trace.last_counter - 1;
-    const std::uint32_t rotted_slot = trace.last_counter % kSlots;
-    const std::uint32_t good_slot = trace.prev_counter % kSlots;
-
-    // Latent bit rot: durably flip one payload byte of the newest
-    // checkpoint. This happened "in the past" — it is part of every
-    // crash image, not a crash point itself.
-    const Bytes rot_off = store.slot_offset(rotted_slot) + 7;
-    std::uint8_t byte = 0;
-    PCCHECK_MUST(device.read(rot_off, &byte, 1));
-    byte ^= 0x40;
-    PCCHECK_MUST(device.write(rot_off, &byte, 1));
-    PCCHECK_MUST(device.persist(rot_off, 1));
-    PCCHECK_MUST(device.fence());
-
-    // Every storage op from here on is a crash point: the quarantine,
-    // salvage, and publish writes of recovery itself.
-    std::size_t op_counter = 0;
-    device.set_post_op_hook([&trace, &device,
-                             &op_counter](const StorageOp&) {
-        const std::size_t idx = op_counter++;
-        CrashSnapshot snap;
-        snap.op_index = idx;
-        snap.durable = device.crash_image_keeping({});
-        snap.lines = device.unflushed_lines();
-        const Bytes line_bytes = device.line_size();
-        const Bytes device_size = device.size();
-        for (Bytes line : snap.lines) {
-            const Bytes start = line * line_bytes;
-            const Bytes len = std::min(line_bytes, device_size - start);
-            std::vector<std::uint8_t> buf(len);
-            PCCHECK_MUST(device.read(start, buf.data(), len));
-            snap.line_data.push_back(std::move(buf));
-        }
-        trace.snaps.push_back(std::move(snap));
-    });
-
-    MemorySource peer(trace.last_counter, trace.last_counter * 10,
-                      trace.expected[trace.last_counter]);
-    if (mutation == RecoveryMutation::kNone) {
-        // The real armored recovery: quarantine, fetch from the peer,
-        // salvage into the quarantined slot, publish.
-        RecoveryPlanner planner(&device);
-        planner.add_source(&peer);
-        std::vector<std::uint8_t> out;
-        const auto planned = planner.recover(&out);
-        trace.salvaged = planned.has_value() && planned->salvaged;
-    } else {
-        // THE BUG: salvage writes the fetched image over the slot
-        // holding the last locally valid checkpoint. A crash mid-write
-        // leaves the rotted newest copy AND a half-written previous
-        // copy — no local recovery target at all.
-        SlotStore reopened = SlotStore::open(device);
-        PCCHECK_MUST(reopened.quarantine_slot(rotted_slot));
-        const std::vector<std::uint8_t>& pristine =
-            trace.expected[trace.last_counter];
-        PCCHECK_MUST(reopened.write_slot(good_slot, 0, pristine.data(),
-                                         pristine.size()));
-        PCCHECK_MUST(
-            reopened.persist_slot_range(good_slot, 0, pristine.size()));
-        PCCHECK_MUST(device.fence());
-        PCCHECK_MUST(reopened.publish_pointer(CheckpointPointer{
-            trace.last_counter, good_slot, cfg.image_len,
-            trace.last_counter * 10,
-            crc32c(pristine.data(), pristine.size())}));
-        PCCHECK_MUST(reopened.release_quarantine(rotted_slot));
-        trace.salvaged = true;
-    }
-    device.set_post_op_hook(nullptr);
-    return trace;
-}
+  private:
+    LogLevel saved_;
+};
 
 /** Run the planner over @p mem; nullopt result stays nullopt. */
 std::optional<PlannedRecovery>
@@ -186,51 +90,35 @@ planner_recover(MemStorage& mem, RecoverySource* source,
     return planner.recover(out);
 }
 
-/** Materialize one crash image and run recovery invariants against it.
+/** Run the recovery invariants against one crash image.
  *  @return the violation message, or std::nullopt when consistent. */
 std::optional<std::string>
-check_image(const RecoveryTrace& trace, const CrashSnapshot& snap,
-            std::uint64_t mask)
+check_image(const RecoveryHistory& history,
+            const std::vector<std::uint8_t>& image)
 {
-    std::vector<std::uint8_t> image = snap.durable;
-    const Bytes line_size = trace.device->line_size();
-    for (std::size_t i = 0; i < snap.lines.size(); ++i) {
-        if (((mask >> i) & 1u) == 0) {
-            continue;
-        }
-        const Bytes start = snap.lines[i] * line_size;
-        std::copy(snap.line_data[i].begin(), snap.line_data[i].end(),
-                  image.begin() + static_cast<std::ptrdiff_t>(start));
-    }
-
     // 1. Local floor + integrity: with no peer, recovery must still
     //    find at least K-1 — salvage never cost us the last good copy.
     {
         MemStorage mem(image.size());
         std::copy(image.begin(), image.end(), mem.raw());
         std::vector<std::uint8_t> buffer;
-        std::optional<PlannedRecovery> local;
-        try {
-            local = planner_recover(mem, nullptr, &buffer);
-        } catch (const FatalError& e) {
-            return std::string("local recovery raised: ") + e.what();
-        }
+        const auto local = planner_recover(mem, nullptr, &buffer);
         if (!local.has_value()) {
             std::ostringstream os;
             os << "no locally recoverable state although checkpoint "
-               << trace.prev_counter << " was durable before salvage";
+               << history.prev_counter << " was durable before salvage";
             return os.str();
         }
         const std::uint64_t counter = local->result.counter;
-        if (counter < trace.prev_counter) {
+        if (counter < history.prev_counter) {
             std::ostringstream os;
             os << "local recovery found counter " << counter
                << ", older than the pre-salvage floor "
-               << trace.prev_counter;
+               << history.prev_counter;
             return os.str();
         }
-        const auto expected = trace.expected.find(counter);
-        if (expected == trace.expected.end()) {
+        const auto expected = history.expected.find(counter);
+        if (expected == history.expected.end()) {
             std::ostringstream os;
             os << "local recovery found counter " << counter
                << " which never existed";
@@ -250,34 +138,24 @@ check_image(const RecoveryTrace& trace, const CrashSnapshot& snap,
     {
         MemStorage mem(image.size());
         std::copy(image.begin(), image.end(), mem.raw());
-        MemorySource peer(trace.last_counter, trace.last_counter * 10,
-                          trace.expected.at(trace.last_counter));
+        MemorySource peer(history.last_counter, history.last_counter * 10,
+                          history.expected.at(history.last_counter));
         std::vector<std::uint8_t> buffer;
-        std::optional<PlannedRecovery> first;
-        try {
-            first = planner_recover(mem, &peer, &buffer);
-        } catch (const FatalError& e) {
-            return std::string("armored recovery raised: ") + e.what();
-        }
+        const auto first = planner_recover(mem, &peer, &buffer);
         if (!first.has_value() ||
-            first->result.counter != trace.last_counter) {
+            first->result.counter != history.last_counter) {
             std::ostringstream os;
             os << "armored recovery with a live peer did not restore "
-               << trace.last_counter;
+               << history.last_counter;
             return os.str();
         }
-        if (buffer != trace.expected.at(trace.last_counter)) {
+        if (buffer != history.expected.at(history.last_counter)) {
             return "armored recovery restored the wrong bytes";
         }
         const std::vector<std::uint8_t> media_after_first(
             mem.raw(), mem.raw() + mem.size());
         std::vector<std::uint8_t> buffer2;
-        std::optional<PlannedRecovery> second;
-        try {
-            second = planner_recover(mem, &peer, &buffer2);
-        } catch (const FatalError& e) {
-            return std::string("re-entrant recovery raised: ") + e.what();
-        }
+        const auto second = planner_recover(mem, &peer, &buffer2);
         if (!second.has_value() ||
             second->result.counter != first->result.counter) {
             return "re-entrant recovery changed the recovered counter";
@@ -294,69 +172,92 @@ check_image(const RecoveryTrace& trace, const CrashSnapshot& snap,
     return std::nullopt;
 }
 
-/** The masks to try at one crash point (same policy as delta_enum). */
-std::vector<std::uint64_t>
-masks_for(std::size_t num_lines, std::size_t op_index,
-          const RecoveryEnumOptions& opts, bool* sampled)
-{
-    std::vector<std::uint64_t> masks;
-    if (num_lines <= opts.exhaustive_line_limit) {
-        const std::uint64_t count = 1ULL << num_lines;
-        masks.reserve(count);
-        for (std::uint64_t m = 0; m < count; ++m) {
-            masks.push_back(m);
-        }
-        return masks;
-    }
-    *sampled = true;
-    const std::uint64_t full =
-        num_lines >= 64 ? ~0ULL : (1ULL << num_lines) - 1;
-    masks.push_back(0);
-    masks.push_back(full);
-    Rng rng(opts.seed ^ (0x9E3779B97F4A7C15ULL * (op_index + 1)));
-    for (std::size_t k = 0; k < opts.sampled_masks; ++k) {
-        masks.push_back(rng.next_u64() & full);
-    }
-    return masks;
-}
-
 }  // namespace
 
-RecoveryEnumResult
-enumerate_recovery_crashes(const RecoveryModelConfig& config,
-                           RecoveryMutation mutation,
-                           const RecoveryEnumOptions& opts)
+RecoveryWorkload run_recovery_workload(const RecoveryModelConfig& cfg,
+                                       RecoveryMutation mutation)
 {
-    // Thousands of planner runs, each chatty about salvage/quarantine:
-    // keep only warnings while enumerating.
-    const LogLevel saved_level = log_level();
-    set_log_level(LogLevel::kWarn);
-    const RecoveryTrace trace = run_model(config, mutation);
+    PCCHECK_CHECK(cfg.checkpoints >= 2);
+    constexpr std::uint32_t kSlots = 2;
+    const QuietLogs quiet;
+    RecoveryWorkload out;
+    RecoveryHistory history;
+    CrashSimStorage device(SlotStore::required_size(kSlots, cfg.image_len),
+                           StorageKind::kPmemClwb, cfg.storage_seed,
+                           /*eviction_probability=*/0.5);
 
-    RecoveryEnumResult out;
-    out.salvaged = trace.salvaged;
-    for (const CrashSnapshot& snap : trace.snaps) {
-        ++out.crash_points;
-        bool sampled = false;
-        const std::vector<std::uint64_t> masks =
-            masks_for(snap.lines.size(), snap.op_index, opts, &sampled);
-        if (sampled) {
-            ++out.sampled_points;
+    SlotStore store = SlotStore::format(device, kSlots, cfg.image_len);
+    std::vector<std::uint8_t> image(cfg.image_len);
+    for (int c = 1; c <= cfg.checkpoints; ++c) {
+        const auto counter = static_cast<std::uint64_t>(c);
+        for (Bytes j = 0; j < cfg.image_len; ++j) {
+            image[j] = payload_byte(counter, j);
         }
-        for (const std::uint64_t mask : masks) {
-            ++out.images;
-            const auto violation = check_image(trace, snap, mask);
-            if (violation.has_value()) {
-                out.violated = true;
-                out.message = *violation;
-                out.crash_op = snap.op_index;
-                out.crash_mask = mask;
-                set_log_level(saved_level);
-                return out;
-            }
-        }
+        history.expected[counter] = image;
+        const std::uint32_t slot = counter % kSlots;
+        PCCHECK_MUST(store.write_slot(slot, 0, image.data(), image.size()));
+        PCCHECK_MUST(store.persist_slot_range(slot, 0, image.size()));
+        PCCHECK_MUST(device.fence());
+        PCCHECK_MUST(store.publish_pointer(CheckpointPointer{
+            counter, slot, cfg.image_len, counter * 10,
+            crc32c(image.data(), image.size())}));
     }
-    set_log_level(saved_level);
+    history.last_counter = static_cast<std::uint64_t>(cfg.checkpoints);
+    history.prev_counter = history.last_counter - 1;
+    const std::uint32_t rotted_slot = history.last_counter % kSlots;
+    const std::uint32_t good_slot = history.prev_counter % kSlots;
+
+    // Latent bit rot: durably flip one payload byte of the newest
+    // checkpoint. This happened "in the past" — it is part of every
+    // crash image, not a crash point itself.
+    const Bytes rot_off = store.slot_offset(rotted_slot) + 7;
+    std::uint8_t byte = 0;
+    PCCHECK_MUST(device.read(rot_off, &byte, 1));
+    byte ^= 0x40;
+    PCCHECK_MUST(device.write(rot_off, &byte, 1));
+    PCCHECK_MUST(device.persist(rot_off, 1));
+    PCCHECK_MUST(device.fence());
+
+    // Every storage op from here on is a crash point: the quarantine,
+    // salvage, and publish writes of recovery itself.
+    SnapshotRecorder recorder(device, &out.trace);
+    const std::vector<std::uint8_t>& pristine =
+        history.expected[history.last_counter];
+    if (mutation == RecoveryMutation::kNone) {
+        // The real armored recovery: quarantine, fetch from the peer,
+        // salvage into the quarantined slot, publish.
+        MemorySource peer(history.last_counter, history.last_counter * 10,
+                          pristine);
+        RecoveryPlanner planner(&device);
+        planner.add_source(&peer);
+        std::vector<std::uint8_t> recovered;
+        const auto planned = planner.recover(&recovered);
+        out.salvaged = planned.has_value() && planned->salvaged;
+    } else {
+        // THE BUG: salvage writes the fetched image over the slot
+        // holding the last locally valid checkpoint. A crash mid-write
+        // leaves the rotted newest copy AND a half-written previous
+        // copy — no local recovery target at all.
+        SlotStore reopened = SlotStore::open(device);
+        PCCHECK_MUST(reopened.quarantine_slot(rotted_slot));
+        PCCHECK_MUST(reopened.write_slot(good_slot, 0, pristine.data(),
+                                         pristine.size()));
+        PCCHECK_MUST(
+            reopened.persist_slot_range(good_slot, 0, pristine.size()));
+        PCCHECK_MUST(device.fence());
+        PCCHECK_MUST(reopened.publish_pointer(CheckpointPointer{
+            history.last_counter, good_slot, cfg.image_len,
+            history.last_counter * 10,
+            crc32c(pristine.data(), pristine.size())}));
+        PCCHECK_MUST(reopened.release_quarantine(rotted_slot));
+        out.salvaged = true;
+    }
+    out.oracle = [history = std::move(history)](
+                     const CrashSnapshot&,
+                     const std::vector<std::uint8_t>& crash_image) {
+        const QuietLogs quiet_oracle;
+        return check_image(history, crash_image);
+    };
     return out;
 }
 

@@ -16,9 +16,9 @@
  * newest one's slot (latent bit rot), then runs the REAL
  * RecoveryPlanner against the damaged device with an in-memory peer
  * source serving the pristine image. Every storage op of that
- * quarantine/salvage sequence records a CrashSnapshot; the enumerator
- * materializes every (crash point, unflushed-line mask) image and
- * asserts, per image:
+ * quarantine/salvage sequence is a crash point; for each image the
+ * shared enumerator (crash_images.h) materializes, the oracle
+ * asserts:
  *
  *  - local floor: a planner run with NO sources recovers at least
  *    checkpoint K-1 — salvage never destroys the last locally valid
@@ -36,8 +36,8 @@
  */
 
 #include <cstdint>
-#include <string>
 
+#include "mc/crash_images.h"
 #include "util/bytes.h"
 
 namespace pccheck::mc {
@@ -55,32 +55,16 @@ struct RecoveryModelConfig {
     std::uint64_t storage_seed = 1;
 };
 
-/** Bounds for the mask enumeration at each crash point. */
-struct RecoveryEnumOptions {
-    std::size_t exhaustive_line_limit = 10;
-    std::size_t sampled_masks = 256;
-    std::uint64_t seed = 1;
+/** One run of the damaged-device workload. */
+struct RecoveryWorkload : CrashWorkload {
+    bool salvaged = false;  ///< the run's salvage published
 };
 
-/** Outcome of one recovery crash enumeration. */
-struct RecoveryEnumResult {
-    bool violated = false;
-    std::string message;
-    std::size_t crash_points = 0;
-    std::size_t images = 0;
-    std::size_t sampled_points = 0;
-    bool salvaged = false;  ///< the model run's salvage published
-    /** First violating image (valid iff violated). */
-    std::size_t crash_op = 0;
-    std::uint64_t crash_mask = 0;
-};
-
-/** Run the damaged-device workload once, then enumerate crash images
- *  over the recovery/salvage write sequence. Stops at the first
- *  violation. */
-RecoveryEnumResult enumerate_recovery_crashes(
-    const RecoveryModelConfig& config, RecoveryMutation mutation,
-    const RecoveryEnumOptions& opts = RecoveryEnumOptions());
+/** Run the damaged-device workload once, recording the storage ops
+ *  of the recovery/salvage write sequence as crash points. Its oracle
+ *  keeps logging to warnings while it runs the planner. */
+RecoveryWorkload run_recovery_workload(const RecoveryModelConfig& config,
+                                       RecoveryMutation mutation);
 
 }  // namespace pccheck::mc
 

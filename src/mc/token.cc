@@ -1,5 +1,8 @@
 #include "mc/token.h"
 
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -8,8 +11,9 @@ namespace pccheck::mc {
 namespace {
 
 /** Parse a non-negative integer with base @p base, advancing @p pos.
- *  Returns false when no digits were consumed or the value overflows
- *  what the token grammar needs (64 bits). */
+ *  Returns false when no digits were consumed, when strtoull took
+ *  anything but digits of @p base (a sign, leading space or an `0x`
+ *  prefix), or when the value overflows 64 bits. */
 bool parse_u64(const std::string& s, std::size_t& pos, int base,
                std::uint64_t* out)
 {
@@ -17,7 +21,12 @@ bool parse_u64(const std::string& s, std::size_t& pos, int base,
     char* end = nullptr;
     errno = 0;
     const unsigned long long v = std::strtoull(begin, &end, base);
-    if (end == begin || errno != 0) {
+    const auto is_digit = [base](char c) {
+        const auto u = static_cast<unsigned char>(c);
+        return base == 16 ? std::isxdigit(u) != 0 : std::isdigit(u) != 0;
+    };
+    if (end == begin || errno != 0 ||
+        !std::all_of(begin, static_cast<const char*>(end), is_digit)) {
         return false;
     }
     pos += static_cast<std::size_t>(end - begin);
@@ -52,12 +61,18 @@ std::string encode_token(int num_threads,
         i += run;
     }
     if (crash_op.has_value()) {
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), ".crash@%zu:0x%llx", *crash_op,
-                      static_cast<unsigned long long>(crash_mask));
-        out += buf;
+        out += '.';
+        out += crash_clause(*crash_op, crash_mask);
     }
     return out;
+}
+
+std::string crash_clause(std::size_t crash_op, std::uint64_t crash_mask)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "crash@%zu:0x%llx", crash_op,
+                  static_cast<unsigned long long>(crash_mask));
+    return buf;
 }
 
 std::optional<ReplayToken> decode_token(const std::string& text)

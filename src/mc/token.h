@@ -15,13 +15,20 @@
  * exact interleaving via PrefixStrategy, reproducing the assertion
  * deterministically.
  *
- * Crash-enumeration failures append a crash clause:
+ * A crash image is named by its crash clause
  *
- *     v1.3.0x14,1x3.crash@27:0x1b
+ *     crash@27:0x1b
  *
  * — crash after storage operation 27, keeping the unflushed cache
  * lines selected by hex mask 0x1b (bit i = i-th unflushed line in
- * ascending offset order survives the crash).
+ * ascending offset order survives the crash). The deterministic
+ * crash modes print the bare clause; the commit model's crash
+ * failures append it to their schedule:
+ *
+ *     v1.3.0x14,1x3.crash@27:0x1b
+ *
+ * Numbers are plain decimal digits (hex after `0x`): no sign, space
+ * or second prefix.
  */
 
 #include <cstdint>
@@ -49,6 +56,9 @@ std::string encode_token(int num_threads,
                          const std::vector<std::uint8_t>& choices,
                          std::optional<std::size_t> crash_op = std::nullopt,
                          std::uint64_t crash_mask = 0);
+
+/** The crash clause `crash@<op>:0x<mask>` naming one crash image. */
+std::string crash_clause(std::size_t crash_op, std::uint64_t crash_mask);
 
 /** Decode a token; std::nullopt on any syntax error. */
 std::optional<ReplayToken> decode_token(const std::string& text);
