@@ -309,9 +309,9 @@ main(int argc, char** argv)
 
     std::printf("=== CheckpointService: goodput vs tenant count, "
                 "%d shards, QoS vs blind contention ===\n", kShards);
-    std::printf("%-8s %14s %14s %8s %16s %16s\n", "tenants",
+    std::printf("%-8s %14s %14s %8s %16s %16s %14s %14s\n", "tenants",
                 "qos it/s", "noqos it/s", "gain", "qos p99 ms",
-                "noqos p99 ms");
+                "noqos p99 ms", "qos done/adm", "noqos done/adm");
 
     bool ok = true;
     double gain_at_64 = 0;
@@ -341,9 +341,17 @@ main(int argc, char** argv)
         if (tenants == 64) {
             gain_at_64 = gain;
         }
-        std::printf("%-8d %14.1f %14.1f %7.2fx %16.3f %16.3f\n",
+        // Completed vs admitted: a mode that aborts checkpoints shows
+        // it here, not only in the CSV.
+        std::string done[2];
+        for (int mode = 0; mode < 2; ++mode) {
+            done[mode] = std::to_string(points[mode].stats.completed) +
+                         "/" + std::to_string(points[mode].stats.admitted);
+        }
+        std::printf("%-8d %14.1f %14.1f %7.2fx %16.3f %16.3f %14s %14s\n",
                     tenants, points[0].goodput, points[1].goodput, gain,
-                    points[0].p99_stall_ms, points[1].p99_stall_ms);
+                    points[0].p99_stall_ms, points[1].p99_stall_ms,
+                    done[0].c_str(), done[1].c_str());
         series.push_back(
             {tenants,
              {points[0].goodput, points[1].goodput,

@@ -143,6 +143,17 @@ SegmentLog::SegmentLog(StorageDevice& device, Bytes region_offset,
     PCCHECK_CHECK_MSG(region_offset + required_size(config) <=
                           device.size(),
                       "SegmentLog: region exceeds device");
+    flusher_ = std::thread([this] { run_flusher(); });
+}
+
+SegmentLog::~SegmentLog()
+{
+    {
+        MutexLock lock(mu_);
+        stopping_ = true;
+        cv_.notify_all();
+    }
+    flusher_.join();
 }
 
 Bytes SegmentLog::required_size(const SegmentLogConfig& config)
@@ -184,7 +195,9 @@ StorageStatus SegmentLog::format()
     }
     active_ = 0;
     cursor_ = sizeof(RawSegmentHeader);
+    active_sealed_ = false;
     live_.clear();
+    relocate_.clear();
     std::fill(epochs_.begin(), epochs_.end(), 1);
     for (auto& records : sealed_records_) {
         records.clear();
@@ -192,232 +205,263 @@ StorageStatus SegmentLog::format()
     return StorageStatus::success();
 }
 
+void SegmentLog::submit(SegmentRecord* record)
+{
+    PCCHECK_CHECK_MSG(record->on_done != nullptr,
+                      "SegmentLog::submit: record needs on_done");
+    MutexLock lock(mu_);
+    PCCHECK_CHECK_MSG(!stopping_, "SegmentLog::submit: log is closing");
+    queue_.push_back(record);
+    cv_.notify_one();
+}
+
 StorageStatus SegmentLog::append(std::uint64_t tenant,
                                  std::uint64_t counter,
                                  std::uint64_t iteration, const void* data,
                                  Bytes data_len)
 {
-    Pending pending;
-    pending.tenant = tenant;
-    pending.counter = counter;
-    pending.iteration = iteration;
-    pending.data = static_cast<const std::uint8_t*>(data);
-    pending.data_len = data_len;
-
-    bool leader = false;
-    {
-        MutexLock lock(mu_);
-        queue_.push_back(&pending);
-        if (!flushing_) {
-            flushing_ = true;
-            leader = true;
-        }
+    struct Waiter {
+        Mutex mu;
+        CondVar cv;
+        bool done = false;
+    } waiter;
+    SegmentRecord record;
+    record.tenant = tenant;
+    record.counter = counter;
+    record.iteration = iteration;
+    record.data = data;
+    record.data_len = data_len;
+    record.on_done = [&waiter] {
+        MutexLock lock(waiter.mu);
+        waiter.done = true;
+        // Notify under the lock: this frame, and the cv with it, is
+        // gone as soon as the wait below sees done.
+        waiter.cv.notify_all();
+    };
+    submit(&record);
+    MutexLock lock(waiter.mu);
+    while (!waiter.done) {
+        waiter.cv.wait(waiter.mu);
     }
-    if (leader) {
-        run_leader();
-        // The leader flushed until the queue drained, which includes
-        // its own record.
-        PCCHECK_CHECK(pending.done);
-        return pending.result;
-    }
-    MutexLock lock(mu_);
-    while (!pending.done) {
-        cv_.wait(mu_);
-    }
-    return pending.result;
+    return record.result;
 }
 
-void SegmentLog::run_leader()
+void SegmentLog::run_flusher()
 {
     for (;;) {
-        std::vector<Pending*> batch;
         {
             MutexLock lock(mu_);
+            while (queue_.empty() && !stopping_) {
+                cv_.wait(mu_);
+            }
             if (queue_.empty()) {
-                flushing_ = false;
-                cv_.notify_all();
-                return;
+                return;  // closing, and every queued record has its verdict
             }
-            batch.assign(queue_.begin(), queue_.end());
-            queue_.clear();
+            batch_.swap(queue_);
         }
-        flush_batch(batch);
-        // Watermarks advance before any appender observes success.
-        if (durable_hook_) {
-            for (Pending* pending : batch) {
-                if (pending->result.ok()) {
-                    durable_hook_(pending->tenant, pending->counter,
-                                  pending->iteration);
-                }
-            }
-        }
-        {
-            MutexLock lock(mu_);
-            for (Pending* pending : batch) {
-                pending->done = true;
-                if (pending->result.ok()) {
-                    ++stats_.records;
-                } else {
-                    ++stats_.rejects;
-                }
-            }
-            cv_.notify_all();
-        }
+        flush_batch(batch_);
+        batch_.clear();
     }
 }
 
-void SegmentLog::flush_batch(std::vector<Pending*>& batch)
+void SegmentLog::flush_batch(const std::vector<SegmentRecord*>& batch)
 {
     static Counter& coalesced_metric = MetricsRegistry::global().counter(
         "pccheck.service.coalesced_records");
-    // Records that can never fit a segment are permanent rejects.
-    std::vector<Pending*> todo;
-    for (Pending* pending : batch) {
-        const Bytes need = sizeof(RawSegmentHeader) +
-                           record_bytes(pending->data_len) +
-                           sizeof(RawRecordHeader) +  // dead tail
-                           sizeof(RawManifestEntry);
-        if (need > config_.segment_bytes) {
-            pending->result = StorageStatus::permanent_error(
-                "segment.append: record larger than a segment");
-        } else {
-            todo.push_back(pending);
-        }
-    }
+    // Room one record takes in an empty segment, beside the segment
+    // header, the dead tail and its manifest entry.
+    const auto fits_a_segment = [this](const SegmentRecord* record) {
+        return sizeof(RawSegmentHeader) + record_bytes(record->data_len) +
+                   sizeof(RawRecordHeader) + sizeof(RawManifestEntry) <=
+               config_.segment_bytes;
+    };
 
     std::size_t next = 0;
-    while (next < todo.size()) {
-        // Greedy sub-batch: the longest prefix of `todo` that fits the
-        // active segment alongside its dead tail and grown manifest.
-        std::vector<Pending*> sub;
+    while (next < batch.size()) {
+        if (!fits_a_segment(batch[next])) {
+            complete(batch, next, next + 1,
+                     StorageStatus::permanent_error(
+                         "segment.append: record larger than a segment"));
+            ++next;
+            continue;
+        }
+        // Greedy sub-batch: the longest run from `next` that fits the
+        // active segment alongside its dead tail, grown manifest and
+        // the room reserved for relocations. A sealed segment takes
+        // nothing more.
+        std::size_t end = next;
         Bytes need = 0;
-        for (std::size_t i = next; i < todo.size(); ++i) {
-            const Bytes grow = record_bytes(todo[i]->data_len);
+        const Bytes reserved = relocation_bytes();
+        while (!active_sealed_ && end < batch.size() &&
+               fits_a_segment(batch[end])) {
+            const Bytes grow = record_bytes(batch[end]->data_len);
             const Bytes manifest =
-                Bytes{live_.size() + sub.size() + 1} *
+                Bytes{live_.size() + relocate_.size() + (end - next) + 1} *
                 sizeof(RawManifestEntry);
-            if (cursor_ + need + grow + sizeof(RawRecordHeader) +
-                    manifest >
+            if (cursor_ + need + grow + reserved +
+                    sizeof(RawRecordHeader) + manifest >
                 config_.segment_bytes) {
                 break;
             }
             need += grow;
-            sub.push_back(todo[i]);
+            ++end;
         }
-        if (sub.empty()) {
-            // The active segment is full: seal it and recycle the
-            // next ring slot. Failure rejects the rest of the batch
-            // (the tenants skip this checkpoint; training never
-            // stalls behind a full ring).
-            StorageStatus status = seal_active();
+        if (end == next && !active_sealed_ && !relocate_.empty()) {
+            // Records the gate allows by now need no copy; and a
+            // segment takes at least one new record before its room
+            // goes to copies, so relocation cannot spin the ring.
+            const std::size_t pending = relocate_.size();
+            const std::vector<LiveRecord>& following_records = following();
+            relocate_.erase(
+                std::remove_if(relocate_.begin(), relocate_.end(),
+                               [&](std::size_t i) {
+                                   return reclaimable(following_records[i]);
+                               }),
+                relocate_.end());
+            if (live_.empty()) {
+                relocate_.clear();
+            }
+            if (relocate_.size() < pending) {
+                continue;
+            }
+        }
+        if (end == next) {
+            // The active segment is full: copy the following segment's
+            // pinned records in, seal (once — after a refused recycle
+            // only the advance is retried) and recycle the next ring
+            // slot. Failure rejects the rest of the batch (the tenants
+            // skip this checkpoint; training never stalls behind a
+            // full ring).
+            StorageStatus status = StorageStatus::success();
+            if (!active_sealed_) {
+                status = relocate();
+                if (status.ok()) {
+                    status = seal_active();
+                }
+            }
             if (status.ok()) {
                 status = advance_active();
             }
             if (!status.ok()) {
-                for (std::size_t i = next; i < todo.size(); ++i) {
-                    todo[i]->result = status;
-                }
+                complete(batch, next, batch.size(), status);
                 return;
             }
             continue;
         }
 
-        if (pacer_) {
-            Bytes total = 0;
-            for (const Pending* pending : sub) {
-                total += record_bytes(pending->data_len);
-            }
-            pacer_(total);
-        }
-
-        // Phase 1: payloads, every header but the first, and the dead
-        // tail. Persist + fence. The batch stays invisible: the chain
-        // still ends at the (still dead) first header.
-        const Bytes base = segment_base(active_);
-        const Bytes batch_start = cursor_;
-        Bytes off = cursor_;
-        StorageStatus status = StorageStatus::success();
-        RawRecordHeader first_header{};
-        Bytes first_off = 0;
-        std::vector<LiveRecord> staged;
-        for (std::size_t i = 0; i < sub.size() && status.ok(); ++i) {
-            Pending* pending = sub[i];
-            RawRecordHeader hdr{};
-            hdr.magic = segment_wire::kRecordMagic;
-            hdr.tenant = pending->tenant;
-            hdr.counter = pending->counter;
-            hdr.iteration = pending->iteration;
-            hdr.data_len = pending->data_len;
-            hdr.data_crc = crc32c(pending->data, pending->data_len);
-            hdr.header_crc = segment_wire::header_crc(hdr);
-            if (i == 0) {
-                first_header = hdr;
-                first_off = off;
-            } else {
-                status = device_->write(base + off, &hdr, sizeof(hdr));
-            }
-            if (status.ok()) {
-                status = device_->write(base + off + sizeof(hdr),
-                                        pending->data, pending->data_len);
-            }
-            LiveRecord record;
-            record.tenant = pending->tenant;
-            record.counter = pending->counter;
-            record.iteration = pending->iteration;
-            record.record_off = off;
-            record.data_len = pending->data_len;
-            record.data_crc = hdr.data_crc;
-            staged.push_back(record);
-            off += record_bytes(pending->data_len);
-        }
-        if (status.ok()) {
-            const RawRecordHeader dead{};
-            status = device_->write(base + off, &dead, sizeof(dead));
-        }
-        if (status.ok()) {
-            status = device_->persist(base + batch_start,
-                                      off + sizeof(RawRecordHeader) -
-                                          batch_start);
-        }
-        if (status.ok()) {
-            status = device_->fence();
-        }
-        // Phase 2: publish. The first record's header links the whole
-        // batch into the scan chain atomically.
-        if (status.ok()) {
-            status = device_->write(base + first_off, &first_header,
-                                    sizeof(first_header));
-        }
-        if (status.ok()) {
-            status = device_->persist(base + first_off,
-                                      sizeof(first_header));
-        }
-        if (status.ok()) {
-            status = device_->fence();
-        }
-
-        for (Pending* pending : sub) {
-            pending->result = status;
-        }
+        const StorageStatus status = write_records(batch, next, end, need);
         if (!status.ok()) {
-            // Nothing published: the chain still ends where it did.
-            // Leave the cursor so a later batch overwrites the
-            // garbage; reject the rest of this batch with the same
-            // verdict.
-            for (std::size_t i = next + sub.size(); i < todo.size();
-                 ++i) {
-                todo[i]->result = status;
-            }
+            // Nothing published: reject the rest of this batch with
+            // the same verdict.
+            complete(batch, next, batch.size(), status);
             return;
         }
-        cursor_ = off;
-        live_.insert(live_.end(), staged.begin(), staged.end());
-        coalesced_metric.add(sub.size());
-        {
-            MutexLock lock(mu_);
-            ++stats_.flushes;
+        coalesced_metric.add(end - next);
+        // Watermarks advance now: before a later sub-batch's recycle
+        // asks the reclaim gate, and before any appender learns that
+        // its record is durable.
+        if (durable_hook_) {
+            for (std::size_t i = next; i < end; ++i) {
+                durable_hook_(batch[i]->tenant, batch[i]->counter,
+                              batch[i]->iteration);
+            }
         }
-        next += sub.size();
+        complete(batch, next, end, status);
+        next = end;
+    }
+}
+
+StorageStatus SegmentLog::write_records(
+    const std::vector<SegmentRecord*>& records, std::size_t first,
+    std::size_t last, Bytes bytes)
+{
+    if (pacer_) {
+        pacer_(bytes);
+    }
+    // Phase 1: payloads, every header but the first, and the dead
+    // tail. Persist + fence. The sub-batch stays invisible: the chain
+    // still ends at the (still dead) first header.
+    const Bytes base = segment_base(active_);
+    const Bytes batch_start = cursor_;
+    const std::size_t live_before = live_.size();
+    Bytes off = cursor_;
+    StorageStatus status = StorageStatus::success();
+    RawRecordHeader first_header{};
+    for (std::size_t i = first; i < last && status.ok(); ++i) {
+        const SegmentRecord& record = *records[i];
+        RawRecordHeader hdr{};
+        hdr.magic = segment_wire::kRecordMagic;
+        hdr.tenant = record.tenant;
+        hdr.counter = record.counter;
+        hdr.iteration = record.iteration;
+        hdr.data_len = record.data_len;
+        hdr.data_crc = crc32c(record.data, record.data_len);
+        hdr.header_crc = segment_wire::header_crc(hdr);
+        if (i == first) {
+            first_header = hdr;
+        } else {
+            status = device_->write(base + off, &hdr, sizeof(hdr));
+        }
+        if (status.ok()) {
+            status = device_->write(base + off + sizeof(hdr), record.data,
+                                    record.data_len);
+        }
+        live_.push_back(LiveRecord{record.tenant, record.counter,
+                                   record.iteration, off, record.data_len,
+                                   hdr.data_crc});
+        off += record_bytes(record.data_len);
+    }
+    if (status.ok()) {
+        const RawRecordHeader dead{};
+        status = device_->write(base + off, &dead, sizeof(dead));
+    }
+    if (status.ok()) {
+        status = device_->persist(base + batch_start,
+                                  off + sizeof(RawRecordHeader) -
+                                      batch_start);
+    }
+    if (status.ok()) {
+        status = device_->fence();
+    }
+    // Phase 2: publish. The first record's header links the whole
+    // sub-batch into the scan chain atomically.
+    if (status.ok()) {
+        status = device_->write(base + batch_start, &first_header,
+                                sizeof(first_header));
+    }
+    if (status.ok()) {
+        status = device_->persist(base + batch_start, sizeof(first_header));
+    }
+    if (status.ok()) {
+        status = device_->fence();
+    }
+    if (!status.ok()) {
+        // The chain still ends where it did. Leave the cursor so a
+        // later sub-batch overwrites the garbage.
+        live_.resize(live_before);
+        return status;
+    }
+    cursor_ = off;
+    MutexLock lock(mu_);
+    ++stats_.flushes;
+    return status;
+}
+
+void SegmentLog::complete(const std::vector<SegmentRecord*>& batch,
+                          std::size_t first, std::size_t last,
+                          StorageStatus status)
+{
+    {
+        MutexLock lock(mu_);
+        if (status.ok()) {
+            stats_.records += last - first;
+        } else {
+            stats_.rejects += last - first;
+        }
+    }
+    for (std::size_t i = first; i < last; ++i) {
+        batch[i]->result = status;
+        batch[i]->on_done();  // the record is its owner's from here
     }
 }
 
@@ -472,6 +516,7 @@ StorageStatus SegmentLog::seal_active()
         return status;
     }
     sealed_records_[active_] = live_;
+    active_sealed_ = true;
     {
         MutexLock lock(mu_);
         ++stats_.seals;
@@ -486,8 +531,7 @@ StorageStatus SegmentLog::advance_active()
         // The slot was used on a previous lap: recycling destroys its
         // records, so every one needs the gate's blessing.
         for (const LiveRecord& record : sealed_records_[next]) {
-            if (!reclaim_gate_ ||
-                !reclaim_gate_(record.tenant, record.counter)) {
+            if (!record.relocated && !reclaimable(record)) {
                 return StorageStatus::transient_error(
                     "segment.recycle: record still some tenant's "
                     "newest durable checkpoint");
@@ -528,8 +572,79 @@ StorageStatus SegmentLog::advance_active()
     }
     active_ = next;
     cursor_ = sizeof(RawSegmentHeader);
+    active_sealed_ = false;
     live_.clear();
+    // Reserve room here for the following segment's pinned records.
+    relocate_.clear();
+    const std::vector<LiveRecord>& following_records = following();
+    for (std::size_t i = 0; i < following_records.size(); ++i) {
+        if (!reclaimable(following_records[i])) {
+            relocate_.push_back(i);
+        }
+    }
     return StorageStatus::success();
+}
+
+bool SegmentLog::reclaimable(const LiveRecord& record) const
+{
+    return reclaim_gate_ && reclaim_gate_(record.tenant, record.counter);
+}
+
+Bytes SegmentLog::relocation_bytes()
+{
+    Bytes bytes = 0;
+    for (std::size_t i : relocate_) {
+        bytes += record_bytes(following()[i].data_len);
+    }
+    return bytes;
+}
+
+StorageStatus SegmentLog::relocate()
+{
+    if (relocate_.empty()) {
+        return StorageStatus::success();
+    }
+    std::vector<LiveRecord>& following_records = following();
+    const Bytes following_rel =
+        Bytes{(active_ + 1) % config_.segments} * config_.segment_bytes;
+    std::vector<std::vector<std::uint8_t>> payloads(relocate_.size());
+    std::vector<SegmentRecord> copies(relocate_.size());
+    std::vector<SegmentRecord*> batch;
+    std::vector<std::size_t> moved;
+    Bytes bytes = 0;
+    for (std::size_t k = 0; k < relocate_.size(); ++k) {
+        const LiveRecord& record = following_records[relocate_[k]];
+        SegmentRecordInfo info;
+        info.record_offset = following_rel + record.record_off;
+        info.data_len = record.data_len;
+        info.data_crc = record.data_crc;
+        if (!segment_fetch(*device_, region_offset_, info, &payloads[k])) {
+            continue;  // rotten: nothing worth copying
+        }
+        copies[k].tenant = record.tenant;
+        copies[k].counter = record.counter;
+        copies[k].iteration = record.iteration;
+        copies[k].data = payloads[k].data();
+        copies[k].data_len = record.data_len;
+        batch.push_back(&copies[k]);
+        moved.push_back(relocate_[k]);
+        bytes += record_bytes(record.data_len);
+    }
+    relocate_.clear();
+    if (batch.empty()) {
+        return StorageStatus::success();
+    }
+    const StorageStatus status = write_records(batch, 0, batch.size(),
+                                               bytes);
+    if (!status.ok()) {
+        return status;
+    }
+    for (std::size_t i : moved) {
+        following_records[i].relocated = true;
+    }
+    MutexLock lock(mu_);
+    stats_.relocations += moved.size();
+    return status;
 }
 
 StorageStatus SegmentLog::publish_segment_header(

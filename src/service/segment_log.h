@@ -11,8 +11,9 @@
  * records, a delta region) on kilobytes of state, and their per-
  * checkpoint fences would dominate the device. Instead the service
  * appends their checkpoints as records into segment files shared by
- * every coalesced tenant of a shard, group-committing concurrent
- * appends under one fence pair.
+ * every coalesced tenant of a shard. One flusher thread per log
+ * group-commits whatever records are queued under one fence pair, so
+ * an appender never waits for another tenant's I/O.
  *
  * Segment layout (all offsets segment-relative, 64-byte aligned):
  *
@@ -37,13 +38,16 @@
  * segment-seal-fence-before-publish). Recycling a sealed segment for
  * reuse asks the reclaim gate for permission record-by-record — the
  * service refuses while a record is some tenant's newest durable
- * checkpoint.
+ * checkpoint. So that such a pinned record does not block the ring,
+ * each segment reserves room for the pinned records of the segment
+ * after it and copies them in (a normal batch append) just before it
+ * seals; the recycle then needs no permission for the originals.
  */
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <thread>
 #include <vector>
 
 #include "storage/device.h"
@@ -161,13 +165,38 @@ struct SegmentLogStats {
     std::uint64_t seals = 0;     ///< segments sealed
     std::uint64_t recycles = 0;  ///< sealed segments reclaimed
     std::uint64_t rejects = 0;   ///< appends refused (no space / gate)
+    std::uint64_t relocations = 0;  ///< pinned records copied forward
 };
 
 /**
- * The shared coalescer appender for one shard. Thread-safe:
- * concurrent append() calls group-commit — one caller becomes the
- * flush leader and batches every queued record under a single
- * persist/fence pair; the rest wait for their record's verdict.
+ * One coalesced checkpoint queued for the flusher. The caller owns it:
+ * the record and the payload it points at must stay alive and
+ * unchanged from submit() until on_done runs. The log never copies or
+ * frees it, so a caller that reuses one record queues without
+ * allocating.
+ */
+struct SegmentRecord {
+    std::uint64_t tenant = 0;
+    std::uint64_t counter = 0;    ///< tenant-monotonic checkpoint counter
+    std::uint64_t iteration = 0;  ///< training iteration captured
+    const void* data = nullptr;
+    Bytes data_len = 0;
+    /** The verdict, set just before on_done runs. Ok means durable,
+     *  with the durable hook already run; failure means the record
+     *  was not appended (see SegmentLog::append). */
+    StorageStatus result;
+    /** Runs on the flusher thread once `result` is set. From that call
+     *  on the record is the caller's again. Must not call back into
+     *  the SegmentLog. */
+    std::function<void()> on_done;
+};
+
+/**
+ * The shared coalescer appender for one shard. Thread-safe: callers
+ * queue records and one flusher thread, the only writer of the ring,
+ * drains the queue in batches, each group-committed under a single
+ * persist/fence pair. A caller never flushes another caller's
+ * records.
  */
 class SegmentLog {
   public:
@@ -175,12 +204,20 @@ class SegmentLog {
     static constexpr Bytes kRecordAlign = 64;
 
     /**
+     * Starts the flusher thread. Call format() and the setters below
+     * before the first record is queued.
      * @param device formatted backing device (must outlive this)
      * @param region_offset device offset of the segment region
      * @param config ring geometry (validated against device size)
      */
     SegmentLog(StorageDevice& device, Bytes region_offset,
                const SegmentLogConfig& config);
+
+    /** Flushes every queued record, then joins the flusher. */
+    ~SegmentLog();
+
+    SegmentLog(const SegmentLog&) = delete;
+    SegmentLog& operator=(const SegmentLog&) = delete;
 
     /** Total region footprint of @p config. */
     static Bytes required_size(const SegmentLogConfig& config);
@@ -195,12 +232,18 @@ class SegmentLog {
     StorageStatus format();
 
     /**
-     * Durably append one coalesced checkpoint. Blocks only for the
-     * group commit's I/O (never for training-side work); on success
-     * the record is durable and the durable hook has run. Failure
-     * means the record was NOT appended: no space the gate would free
-     * (transient — the tenant skips this checkpoint) or device death
-     * (permanent).
+     * Queue @p record for the flusher and return at once. Its verdict
+     * arrives through record->on_done, on the flusher thread. Records
+     * are flushed in queue order.
+     */
+    void submit(SegmentRecord* record) PCCHECK_EXCLUDES(mu_);
+
+    /**
+     * Durably append one coalesced checkpoint: submit() a record, then
+     * block until its verdict. On success the record is durable and
+     * the durable hook has run. Failure means the record was NOT
+     * appended: no space the gate would free (transient — the tenant
+     * skips this checkpoint) or device death (permanent).
      */
     StorageStatus append(std::uint64_t tenant, std::uint64_t counter,
                          std::uint64_t iteration, const void* data,
@@ -210,7 +253,7 @@ class SegmentLog {
      * Permission callback for recycling: return true when the record
      * (tenant, counter) is safe to destroy — i.e. the tenant has a
      * newer durable checkpoint elsewhere or no longer exists. Unset =
-     * never recycle. Called with the flush turnstile held but no lock;
+     * never recycle. Called on the flusher thread with no lock held;
      * must not call back into this SegmentLog.
      */
     void set_reclaim_gate(
@@ -218,9 +261,10 @@ class SegmentLog {
             gate);
 
     /**
-     * Called once per record after its group commit's publish fence
-     * (outside all locks): the record is durable — advance the
-     * tenant's watermark.
+     * Called on the flusher thread once per record, right after the
+     * publish fence of the sub-batch that holds it and before any
+     * later sub-batch is written, so the reclaim gate already sees it:
+     * the record is durable — advance the tenant's watermark.
      */
     void set_durable_hook(
         std::function<void(std::uint64_t tenant, std::uint64_t counter,
@@ -228,7 +272,7 @@ class SegmentLog {
             hook);
 
     /**
-     * Bandwidth pacer invoked by the flush leader with each batch's
+     * Bandwidth pacer invoked by the flusher with each sub-batch's
      * total byte count before the device writes (the service wires
      * the shard's QoS arbiter or plain throttle here). May block.
      */
@@ -237,16 +281,6 @@ class SegmentLog {
     SegmentLogStats stats() const;
 
   private:
-    struct Pending {
-        std::uint64_t tenant = 0;
-        std::uint64_t counter = 0;
-        std::uint64_t iteration = 0;
-        const std::uint8_t* data = nullptr;
-        Bytes data_len = 0;
-        bool done = false;
-        StorageStatus result;
-    };
-
     /** One record's bookkeeping while its segment is open (feeds the
      *  manifest at seal time). */
     struct LiveRecord {
@@ -256,6 +290,9 @@ class SegmentLog {
         Bytes record_off;  ///< segment-relative
         Bytes data_len;
         std::uint32_t data_crc;
+        /** A durable copy lives in a newer segment, so recycling this
+         *  one needs no gate permission for it. */
+        bool relocated = false;
     };
 
     Bytes segment_base(std::uint32_t index) const
@@ -263,21 +300,51 @@ class SegmentLog {
         return region_offset_ + Bytes{index} * config_.segment_bytes;
     }
 
-    /** Flush-leader body: drain the queue in batches until empty.
-     *  Called with the turnstile claimed; takes/drops mu_ internally. */
-    void run_leader() PCCHECK_EXCLUDES(mu_);
+    /** Flusher body: drain the queue in batches until the destructor
+     *  stops it with the queue empty. */
+    void run_flusher() PCCHECK_EXCLUDES(mu_);
 
-    /** Persist one batch into the active segment (leader only, no
-     *  locks held). Fills each Pending's result. */
-    void flush_batch(std::vector<Pending*>& batch);
+    /** Persist one batch into the ring (flusher only, no locks held),
+     *  delivering every record's verdict. */
+    void flush_batch(const std::vector<SegmentRecord*>& batch)
+        PCCHECK_EXCLUDES(mu_);
 
-    /** Seal the active segment (leader only): manifest + persist +
+    /** Append records[first, last) (@p bytes of records in all) at the
+     *  cursor as one sub-batch: pace, persist + fence, then publish and
+     *  fence. The caller checked that they fit. */
+    StorageStatus write_records(const std::vector<SegmentRecord*>& records,
+                                std::size_t first, std::size_t last,
+                                Bytes bytes);
+
+    /** Count batch[first, last) in stats_, then hand each its verdict
+     *  @p status. */
+    void complete(const std::vector<SegmentRecord*>& batch,
+                  std::size_t first, std::size_t last,
+                  StorageStatus status) PCCHECK_EXCLUDES(mu_);
+
+    /** Seal the active segment (flusher only): manifest + persist +
      *  fence, THEN the sealed header. */
     StorageStatus seal_active();
 
-    /** Make the next ring segment writable (leader only): recycle it
-     *  if sealed and the gate allows every record. */
+    /** Make the next ring segment writable (flusher only): recycle it
+     *  if sealed and the gate allows every record not relocated. */
     StorageStatus advance_active();
+
+    /** The gate's verdict on destroying @p record. */
+    bool reclaimable(const LiveRecord& record) const;
+
+    /** Records of the segment after the active one (flusher only). */
+    std::vector<LiveRecord>& following()
+    {
+        return sealed_records_[(active_ + 1) % config_.segments];
+    }
+
+    /** Room the pending relocations take in the active segment. */
+    Bytes relocation_bytes();
+
+    /** Copy the pending relocations into the active segment. A record
+     *  whose payload no longer reads back intact stays pinned. */
+    StorageStatus relocate();
 
     /** Write + persist + fence an open/sealed segment header. Publish
      *  step — every preceding phase must already be fenced. */
@@ -289,17 +356,22 @@ class SegmentLog {
     const SegmentLogConfig config_;
 
     mutable Mutex mu_;
-    CondVar cv_;
-    /** Flush turnstile: exactly one leader drains queue_ at a time.
-     *  The leader owns active_/cursor_/live_/epochs_ while set (claim
-     *  and result publication under mu_, device I/O outside). */
-    bool flushing_ PCCHECK_GUARDED_BY(mu_) = false;
-    std::deque<Pending*> queue_ PCCHECK_GUARDED_BY(mu_);
+    CondVar cv_;  ///< wakes the flusher: a record queued, or stopping_
+    std::vector<SegmentRecord*> queue_ PCCHECK_GUARDED_BY(mu_);
+    bool stopping_ PCCHECK_GUARDED_BY(mu_) = false;
 
-    /** Leader-owned segment cursor (see flushing_). */
+    /** Flusher-owned from here to the hooks (format() writes them
+     *  before the first record is queued). */
+    std::vector<SegmentRecord*> batch_;  ///< swapped with queue_
     std::uint32_t active_ = 0;
     Bytes cursor_ = 0;  ///< segment-relative next record offset
+    /** The active segment is sealed and only its advance is pending
+     *  (a refused recycle): retry the advance, never the seal. */
+    bool active_sealed_ = false;
     std::vector<LiveRecord> live_;  ///< records in the open segment
+    /** Pending relocations: indexes into following() of the records
+     *  the gate refused when this segment became active. */
+    std::vector<std::size_t> relocate_;
     std::vector<std::uint64_t> epochs_;  ///< per-segment header epoch
     /** Manifest shadow of each sealed segment (recycling gate input). */
     std::vector<std::vector<LiveRecord>> sealed_records_;
@@ -310,6 +382,8 @@ class SegmentLog {
     std::function<void(Bytes)> pacer_;
 
     SegmentLogStats stats_ PCCHECK_GUARDED_BY(mu_);
+
+    std::thread flusher_;  ///< last: starts once the rest is built
 };
 
 }  // namespace pccheck

@@ -207,10 +207,12 @@ class CheckpointService::TenantSession : public Checkpointer {
 };
 
 /**
- * One coalesced tenant's session: admission, then a synchronous
- * GPU→host snapshot appended to the shard's shared SegmentLog. The
- * whole checkpoint runs on the training thread (tiny states — the
- * group commit amortizes the fences), so stall == latency here.
+ * One coalesced tenant's session: admission, then a GPU→host snapshot
+ * into the session's one staging buffer, queued as a record for the
+ * shard's SegmentLog flusher. The training thread waits only for that
+ * buffer — i.e. while its previous record is still in flight — and
+ * for the copy, so a tenant keeps at most one checkpoint in flight.
+ * The record becomes durable behind it; finish() drains it.
  */
 class CheckpointService::CoalescedSession final : public TenantSession {
   public:
@@ -221,7 +223,13 @@ class CheckpointService::CoalescedSession final : public TenantSession {
           clock_(&clock),
           scratch_(state.size())
     {
+        record_.tenant = spec.id;
+        record_.data = scratch_.data();
+        record_.data_len = scratch_.size();
+        record_.on_done = [this] { on_record_done(); };
     }
+
+    ~CoalescedSession() override { finish(); }
 
     std::string name() const override { return "pccheck-coalesced"; }
 
@@ -242,25 +250,36 @@ class CheckpointService::CoalescedSession final : public TenantSession {
             return;  // over budget: skip, never stall
         }
         const Seconds t0 = clock_->now();
+        {
+            MutexLock lock(mu_);
+            while (in_flight_) {
+                cv_.wait(mu_);
+            }
+            in_flight_ = true;
+            request_time_ = t0;
+        }
         state_->gpu().copy_to_host(scratch_.data(), state_->device_ptr(),
                                    0, scratch_.size(),
                                    /*pinned=*/false);
-        const StorageStatus status = shard.segments->append(
-            spec_.id, ++counter_, iteration, scratch_.data(),
-            scratch_.size());
-        const Seconds elapsed = clock_->now() - t0;
-        MutexLock lock(mu_);
-        stall_time_ += elapsed;
-        if (status.ok()) {
-            ++completed_;
-            latency_.add(elapsed);
-        } else {
-            ++aborted_;
+        record_.counter = ++counter_;
+        record_.iteration = iteration;
+        const Seconds stall = clock_->now() - t0;
+        {
+            MutexLock lock(mu_);
+            stall_time_ += stall;
         }
+        shard.segments->submit(&record_);
     }
 
     void request_delta(std::uint64_t) override {}
-    void finish() override {}
+
+    void finish() override
+    {
+        MutexLock lock(mu_);
+        while (in_flight_) {
+            cv_.wait(mu_);
+        }
+    }
 
     CheckpointerStats stats() const override
     {
@@ -275,14 +294,35 @@ class CheckpointService::CoalescedSession final : public TenantSession {
     }
 
   private:
+    /** The flusher's verdict on record_ (flusher thread). */
+    void on_record_done()
+    {
+        const Seconds now = clock_->now();
+        MutexLock lock(mu_);
+        if (record_.result.ok()) {
+            ++completed_;
+            latency_.add(now - request_time_);
+        } else {
+            ++aborted_;
+        }
+        in_flight_ = false;
+        // Notify under the lock: finish(), and the destructor behind
+        // it, return as soon as in_flight_ is false.
+        cv_.notify_all();
+    }
+
     TrainingState* state_;
     const Clock* clock_;
+    /** The one staging buffer: record_'s payload while in flight. */
     std::vector<std::uint8_t> scratch_;
-    /** Tenant-monotonic checkpoint counter (only the training thread
-     *  appends, but stats() may race it). */
+    SegmentRecord record_;
+    /** Tenant-monotonic checkpoint counter (training thread only). */
     std::uint64_t counter_ = 0;
 
     mutable Mutex mu_;
+    CondVar cv_;  ///< in_flight_ cleared
+    bool in_flight_ PCCHECK_GUARDED_BY(mu_) = false;
+    Seconds request_time_ PCCHECK_GUARDED_BY(mu_) = 0;
     std::uint64_t requested_ PCCHECK_GUARDED_BY(mu_) = 0;
     std::uint64_t completed_ PCCHECK_GUARDED_BY(mu_) = 0;
     std::uint64_t aborted_ PCCHECK_GUARDED_BY(mu_) = 0;

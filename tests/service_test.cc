@@ -13,8 +13,11 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <map>
 #include <memory>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -382,6 +385,28 @@ TEST(SegmentLogTest, RecycleIsRefusedWhileRecordsAreLive)
     // Every record that was accepted is still durable and intact.
     EXPECT_EQ(segment_scan(device, 0, config).size(),
               static_cast<std::size_t>(appended));
+
+    // The full segment stays sealed: later appends retry only the
+    // refused recycle, with no second seal and no device traffic.
+    const std::uint64_t seals = log.stats().seals;
+    std::atomic<int> persists{0};
+    std::atomic<int> fences{0};
+    device.set_observe_hook([&persists, &fences](const StorageOp& op) {
+        if (op.kind == StorageOp::Kind::kPersist) {
+            persists.fetch_add(1);
+        } else if (op.kind == StorageOp::Kind::kFence) {
+            fences.fetch_add(1);
+        }
+    });
+    for (std::uint64_t i = 101; i <= 102; ++i) {
+        const auto data = pattern(1024, static_cast<std::uint8_t>(i));
+        EXPECT_TRUE(log.append(6, i, i, data.data(), data.size())
+                        .is_transient());
+    }
+    device.set_observe_hook(nullptr);
+    EXPECT_EQ(log.stats().seals, seals);
+    EXPECT_EQ(persists.load(), 0);
+    EXPECT_EQ(fences.load(), 0);
 }
 
 TEST(SegmentLogTest, RecycleAdvancesTheRingWhenTheGateAllows)
@@ -457,6 +482,209 @@ TEST(SegmentLogTest, GroupCommitServesConcurrentAppenders)
     EXPECT_LE(stats.flushes, stats.records);
     EXPECT_EQ(segment_scan(device, 0, config).size(),
               static_cast<std::size_t>(kThreads) * kPerThread);
+}
+
+TEST(SegmentLogTest, DurableHookNeverRunsOnAnAppendersThread)
+{
+    SegmentLogConfig config;
+    config.segment_bytes = 64 * kKiB;
+    config.segments = 4;
+    MemStorage device(SegmentLog::required_size(config));
+    SegmentLog log(device, 0, config);
+    ASSERT_TRUE(log.format().ok());
+
+    Mutex mu;
+    std::set<std::thread::id> hook_threads;
+    log.set_durable_hook(
+        [&mu, &hook_threads](std::uint64_t, std::uint64_t, std::uint64_t) {
+            MutexLock lock(mu);
+            hook_threads.insert(std::this_thread::get_id());
+        });
+    constexpr int kThreads = 8;
+    constexpr int kPerThread = 16;
+    std::vector<std::thread::id> callers(kThreads);
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&log, &callers, t] {
+            callers[t] = std::this_thread::get_id();
+            for (int i = 1; i <= kPerThread; ++i) {
+                const auto data =
+                    pattern(512, static_cast<std::uint8_t>(t * 31 + i));
+                EXPECT_TRUE(log.append(static_cast<std::uint64_t>(t),
+                                       static_cast<std::uint64_t>(i),
+                                       static_cast<std::uint64_t>(i),
+                                       data.data(), data.size())
+                                .ok());
+            }
+        });
+    }
+    for (std::thread& thread : threads) {
+        thread.join();
+    }
+    // One flusher ran every hook, and no appender flushed for another.
+    MutexLock lock(mu);
+    EXPECT_EQ(hook_threads.size(), 1u);
+    for (const std::thread::id& caller : callers) {
+        EXPECT_EQ(hook_threads.count(caller), 0u);
+    }
+}
+
+/** Reclaim gate over a newest-durable-counter map that the durable
+ *  hook feeds: a record recycles once its tenant has a newer one. */
+void
+gate_on_newest(SegmentLog& log,
+               std::map<std::uint64_t, std::uint64_t>& newest)
+{
+    log.set_durable_hook([&newest](std::uint64_t tenant,
+                                   std::uint64_t counter, std::uint64_t) {
+        newest[tenant] = std::max(newest[tenant], counter);
+    });
+    log.set_reclaim_gate([&newest](std::uint64_t tenant,
+                                   std::uint64_t counter) {
+        const auto it = newest.find(tenant);
+        return it != newest.end() && it->second > counter;
+    });
+}
+
+TEST(SegmentLogTest, ReclaimGateSeesRecordsPublishedEarlierInTheSameFlush)
+{
+    // Three 1 KiB records fill a 4 KiB segment. Before the batch under
+    // test the ring holds
+    //   segment 0: X1 Y1 Z1   (each its tenant's only durable record)
+    //   segment 1: F1 F2 F3
+    //   segment 2: empty
+    // One flush then takes [X2, Y2, Z2, F4]: the first three fill
+    // segment 2, and F4 seals it and recycles segment 0. The gate
+    // allows that only if it already sees X2, Y2 and Z2 as durable.
+    // (Segment 0's pinned records fill a whole segment, too many to
+    // relocate.)
+    const SegmentLogConfig config = tiny_segments();
+    MemStorage device(SegmentLog::required_size(config));
+    SegmentLog log(device, 0, config);
+    ASSERT_TRUE(log.format().ok());
+    constexpr std::uint64_t kX = 1;
+    constexpr std::uint64_t kY = 2;
+    constexpr std::uint64_t kZ = 3;
+    constexpr std::uint64_t kF = 4;
+    // Written by the durable hook, read by the gate; both run on the
+    // thread that flushes.
+    std::map<std::uint64_t, std::uint64_t> newest;
+    gate_on_newest(log, newest);
+    // The pacer holds the flush of F3 while the batch under test
+    // queues behind it, F4 last.
+    Mutex mu;
+    CondVar cv;
+    bool hold = false;
+    bool held = false;
+    log.set_pacer([&mu, &cv, &hold, &held](Bytes) {
+        MutexLock lock(mu);
+        if (hold) {
+            held = true;
+            cv.notify_all();
+        }
+        while (hold) {
+            cv.wait(mu);
+        }
+    });
+
+    const auto data = pattern(1024, 7);
+    const auto append = [&log, &data](std::uint64_t tenant,
+                                      std::uint64_t counter) {
+        return log.append(tenant, counter, counter, data.data(),
+                          data.size());
+    };
+    for (std::uint64_t tenant : {kX, kY, kZ}) {
+        ASSERT_TRUE(append(tenant, 1).ok());
+    }
+    ASSERT_TRUE(append(kF, 1).ok());
+    ASSERT_TRUE(append(kF, 2).ok());
+    {
+        MutexLock lock(mu);
+        hold = true;
+    }
+    const std::array<std::array<std::uint64_t, 2>, 5> appends = {
+        {{kF, 3}, {kX, 2}, {kY, 2}, {kZ, 2}, {kF, 4}}};
+    std::vector<StorageStatus> results(appends.size());
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < appends.size(); ++i) {
+        threads.emplace_back([&append, &results, &appends, i] {
+            results[i] = append(appends[i][0], appends[i][1]);
+        });
+        if (i == 0) {
+            MutexLock lock(mu);
+            while (!held) {
+                cv.wait(mu);
+            }
+        } else if (i == 3 || i == 4) {
+            // No queue probe exists: give the appends time to queue.
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        }
+    }
+    {
+        MutexLock lock(mu);
+        hold = false;
+        cv.notify_all();
+    }
+    for (std::thread& thread : threads) {
+        thread.join();
+    }
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        EXPECT_TRUE(results[i].ok()) << "append " << i;
+    }
+    EXPECT_EQ(log.stats().recycles, 1u);
+    for (const SegmentRecordInfo& record :
+         segment_scan(device, 0, config)) {
+        EXPECT_FALSE(record.tenant != kF && record.counter == 1)
+            << "tenant " << record.tenant << "'s first record survived";
+    }
+}
+
+TEST(SegmentLogTest, PinnedRecordIsRelocatedSoTheRingKeepsRecycling)
+{
+    // Tenant X checkpoints once and then goes quiet; F keeps going.
+    // X's only record stays its newest durable one, so the gate never
+    // lets it recycle: each lap copies it forward instead of blocking
+    // the ring on X's segment.
+    const SegmentLogConfig config = tiny_segments();
+    MemStorage device(SegmentLog::required_size(config));
+    SegmentLog log(device, 0, config);
+    ASSERT_TRUE(log.format().ok());
+    constexpr std::uint64_t kX = 1;
+    constexpr std::uint64_t kF = 2;
+    std::map<std::uint64_t, std::uint64_t> newest;
+    gate_on_newest(log, newest);
+
+    const auto x = pattern(1024, 42);
+    ASSERT_TRUE(log.append(kX, 1, 100, x.data(), x.size()).ok());
+    for (std::uint64_t i = 1; i <= 30; ++i) {
+        const auto data = pattern(1024, static_cast<std::uint8_t>(i));
+        ASSERT_TRUE(log.append(kF, i, i, data.data(), data.size()).ok())
+            << "append " << i;
+    }
+    const SegmentLogStats stats = log.stats();
+    EXPECT_EQ(stats.records, 31u);
+    EXPECT_GE(stats.recycles, 3u);
+    EXPECT_GE(stats.relocations, 1u);
+    // X's record is still recoverable, byte for byte.
+    std::uint64_t newest_f = 0;
+    int x_copies = 0;
+    for (const SegmentRecordInfo& record :
+         segment_scan(device, 0, config)) {
+        if (record.tenant == kF) {
+            newest_f = std::max(newest_f, record.counter);
+            continue;
+        }
+        ASSERT_EQ(record.tenant, kX);
+        EXPECT_EQ(record.counter, 1u);
+        EXPECT_EQ(record.iteration, 100u);
+        std::vector<std::uint8_t> payload;
+        ASSERT_TRUE(segment_fetch(device, 0, record, &payload));
+        EXPECT_EQ(payload, x);
+        ++x_copies;
+    }
+    EXPECT_GE(x_copies, 1);
+    EXPECT_EQ(newest_f, 30u);
 }
 
 TEST(SegmentLogTest, ChainWalkStopsAtATornPublish)
@@ -790,6 +1018,83 @@ TEST(CheckpointServiceTest, OverBudgetCheckpointsSkipNeverStall)
     EXPECT_GE(stats.admitted, fixture.config.tenants.size());
     EXPECT_GT(stats.completed, 0u);
     EXPECT_LT(stats.completed, stats.requested);
+}
+
+/** One shard with one coalesced 4 KiB tenant (id 1) and a budget at
+ *  which pacing one record takes ~63 ms. */
+ServiceConfig
+slow_shard_config()
+{
+    ServiceConfig config;
+    config.shards = 1;
+    config.qos.device_budget_bytes_per_sec = 64.0 * kKiB;
+    config.coalescer.threshold_bytes = 16 * kKiB;
+    config.coalescer.segment_bytes = 64 * kKiB;
+    config.coalescer.segments_per_backend = 4;
+    TenantSpec spec;
+    spec.id = 1;
+    spec.state_bytes = 4 * kKiB;
+    config.tenants.push_back(spec);
+    return config;
+}
+
+Seconds
+record_pacing(const ServiceConfig& config)
+{
+    return static_cast<double>(SegmentLog::record_bytes(4 * kKiB)) /
+           config.qos.device_budget_bytes_per_sec;
+}
+
+TEST(CheckpointServiceTest, CoalescedRequestWaitsOnlyForItsSnapshot)
+{
+    ServiceFixture fixture(slow_shard_config());
+    const Seconds pacing = record_pacing(fixture.config);
+    ASSERT_GE(pacing, 0.05);
+    CheckpointService service(fixture.config, fixture.backends);
+    SimGpu gpu(fast_gpu());
+    TrainingState state(gpu, 4 * kKiB);
+    Checkpointer* session = service.attach_tenant(1, state);
+
+    const std::uint64_t iteration = iter_base(1) + 1;
+    state.stamp(iteration);
+    Stopwatch watch;
+    session->request_checkpoint(iteration);
+    // The record is queued; the device time is the flusher's.
+    EXPECT_LT(watch.elapsed(), pacing / 10);
+    session->finish();
+    const TenantWatermark wm = service.watermark(1);
+    ASSERT_TRUE(wm.valid);
+    EXPECT_EQ(wm.iteration, iteration);
+    // The stall is the snapshot alone; the latency runs to durable.
+    const CheckpointerStats stats = session->stats();
+    EXPECT_EQ(stats.completed, 1u);
+    EXPECT_LT(stats.stall_time, pacing / 10);
+    EXPECT_GE(stats.checkpoint_latency.mean(), pacing * 0.9);
+}
+
+TEST(CheckpointServiceTest, CoalescedTenantKeepsOneRecordInFlight)
+{
+    ServiceFixture fixture(slow_shard_config());
+    const Seconds pacing = record_pacing(fixture.config);
+    CheckpointService service(fixture.config, fixture.backends);
+    SimGpu gpu(fast_gpu());
+    TrainingState state(gpu, 4 * kKiB);
+    Checkpointer* session = service.attach_tenant(1, state);
+
+    const std::uint64_t first = iter_base(1) + 1;
+    const std::uint64_t second = iter_base(1) + 2;
+    state.stamp(first);
+    session->request_checkpoint(first);
+    state.stamp(second);
+    Stopwatch watch;
+    session->request_checkpoint(second);
+    // The staging buffer was busy: the second request waited for the
+    // first record to become durable, and the second is now pacing.
+    EXPECT_GT(watch.elapsed(), pacing / 2);
+    EXPECT_EQ(service.watermark(1).iteration, first);
+    session->finish();
+    EXPECT_EQ(service.watermark(1).iteration, second);
+    EXPECT_EQ(session->stats().completed, 2u);
 }
 
 TEST(CheckpointServiceTest, KillTenantStopsTrafficOthersContinue)
