@@ -2,9 +2,9 @@
  * @file
  * Multi-tenant service sweep: aggregate training goodput and p99
  * checkpoint stall vs tenant count (1 -> 256) over 2 storage shards,
- * QoS on (admission control + weighted-fair arbiter) against the
- * blind-contention baseline (same budget, FIFO channel, no admission)
- * — docs/SERVICE.md.
+ * QoS on (admission control + the shard throttle's weighted turns)
+ * against the blind-contention baseline (same budget and throttle,
+ * FIFO, no admission) — docs/SERVICE.md.
  *
  * Every tenant drives its own session flat out (a ~1 ms modeled
  * iteration, then a checkpoint request). Small tenants (7 of 8)
@@ -14,7 +14,7 @@
  * budget stays fixed, so past ~16 tenants the device is oversubscribed:
  * the no-QoS channel queues everyone (training stalls convoy-style),
  * while admission control converts over-budget requests into skips and
- * the arbiter keeps the paced writes fair. The acceptance gate is
+ * the weighted turns keep the paced writes fair. The acceptance gate is
  * aggregate goodput at 64 tenants: QoS >= 1.5x no-QoS.
  *
  * A final storm leg reruns the largest fleet with a mid-storm fault

@@ -1,6 +1,6 @@
 #include "net/network.h"
 
-#include <algorithm>
+#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -11,9 +11,11 @@ namespace pccheck {
 
 namespace {
 
-/** Channel-time slice for contended transfers: small enough that a
- *  tiny checkpoint is never stuck behind a whole bulk transfer, large
- *  enough that the per-quantum mutex/cursor cost stays negligible. */
+/** NIC turn size: concurrent transfers on one NIC interleave at this
+ *  granularity, so a small transfer is never stuck behind a whole bulk
+ *  one, while the per-turn mutex/cursor cost stays negligible. Equal to
+ *  ReplicationConfig::chunk_bytes' default, so every replication
+ *  sub-chunk is one turn. */
 constexpr Bytes kNetShareQuantum = 256 * kKiB;
 
 }  // namespace
@@ -25,8 +27,8 @@ NetworkConfig::validate() const
     if (nodes < 1) {
         diag.error("nodes", "must be >= 1");
     }
-    if (nic_bytes_per_sec < 0) {
-        diag.error("nic_bytes_per_sec", "must be >= 0");
+    if (!std::isfinite(nic_bytes_per_sec) || nic_bytes_per_sec < 0) {
+        diag.error("nic_bytes_per_sec", "must be finite and >= 0");
     }
     if (latency < 0) {
         diag.error("latency", "must be >= 0");
@@ -44,13 +46,9 @@ SimNetwork::SimNetwork(const NetworkConfig& config, const Clock& clock)
     nic_up_.reserve(config.nodes);
     for (int i = 0; i < config.nodes; ++i) {
         egress_.push_back(std::make_unique<BandwidthThrottle>(
-            config.nic_bytes_per_sec, clock));
+            config.nic_bytes_per_sec, clock, kNetShareQuantum));
         ingress_.push_back(std::make_unique<BandwidthThrottle>(
-            config.nic_bytes_per_sec, clock));
-        egress_active_.push_back(
-            std::make_unique<std::atomic<int>>(0));
-        ingress_active_.push_back(
-            std::make_unique<std::atomic<int>>(0));
+            config.nic_bytes_per_sec, clock, kNetShareQuantum));
         mailboxes_.push_back(std::make_unique<Mailbox>());
         nic_up_.push_back(std::make_unique<std::atomic<bool>>(true));
     }
@@ -59,45 +57,8 @@ SimNetwork::SimNetwork(const NetworkConfig& config, const Clock& clock)
 void
 SimNetwork::pay_bandwidth(int from, int to, Bytes len)
 {
-    // Per-channel in-flight registration for the transfer's duration.
-    struct Registration {
-        std::atomic<int>& count;
-        bool contended;
-        explicit Registration(std::atomic<int>& c) : count(c)
-        {
-            // The count only routes between the chunked and whole-
-            // transfer pacing paths; both are correct, and the
-            // throttle cursor itself is mutex-ordered.
-            // relaxed: routing hint only, no ordering required.
-            contended =
-                count.fetch_add(1, std::memory_order_relaxed) > 0;
-        }
-        ~Registration()
-        {
-            // relaxed: see constructor.
-            count.fetch_sub(1, std::memory_order_relaxed);
-        }
-    };
-    Registration out(*egress_active_[from]);
-    Registration in(*ingress_active_[to]);
-    if (!out.contended && !in.contended) {
-        // Only transfer in flight on both channels: the legacy
-        // whole-transfer acquires, bit-identical to the pre-sharing
-        // single-transfer behavior.
-        (void)egress_[from]->acquire(len);
-        (void)ingress_[to]->acquire(len);
-        return;
-    }
-    // Contended: pay in quanta so every in-flight transfer's cursor
-    // reservations interleave. Two equal transfers launched together
-    // each observe ~2x the idle-fabric time (bandwidth is shared),
-    // instead of one observing 1x and the other 2x (FIFO).
-    for (Bytes paid = 0; paid < len;) {
-        const Bytes quantum = std::min(kNetShareQuantum, len - paid);
-        (void)egress_[from]->acquire(quantum);
-        (void)ingress_[to]->acquire(quantum);
-        paid += quantum;
-    }
+    (void)egress_[from]->acquire(len);
+    (void)ingress_[to]->acquire(len);
 }
 
 void
@@ -210,14 +171,8 @@ SimNetwork::estimate_transfer(int from, int to, Bytes len) const
     }
     Seconds cost = config_.latency;
     if (from != to) {
-        const double out_bps = egress_[from]->bytes_per_sec();
-        const double in_bps = ingress_[to]->bytes_per_sec();
-        if (out_bps > 0) {
-            cost += static_cast<Seconds>(len) / out_bps;
-        }
-        if (in_bps > 0) {
-            cost += static_cast<Seconds>(len) / in_bps;
-        }
+        cost += egress_[from]->service_time(len) +
+                ingress_[to]->service_time(len);
     }
     return cost;
 }

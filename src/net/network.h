@@ -161,12 +161,10 @@ class SimNetwork {
     void check_node(int node) const;
 
     /**
-     * Pay sender-egress + receiver-ingress bandwidth for @p len bytes.
-     * Uncontended transfers use the legacy whole-transfer acquires
-     * (bit-identical single-transfer behavior); when other transfers
-     * are in flight on either NIC channel, the payment is split into
-     * fixed quanta so concurrent transfers interleave their channel
-     * reservations — processor sharing instead of FIFO serialization.
+     * Pay sender-egress, then receiver-ingress bandwidth for @p len
+     * bytes. Each NIC throttle paces in quantum-sized turns, so
+     * concurrent transfers on one NIC share it instead of queueing
+     * FIFO, and a lone transfer ends where one whole reservation would.
      */
     void pay_bandwidth(int from, int to, Bytes len);
 
@@ -174,10 +172,6 @@ class SimNetwork {
     const Clock& clock_;
     std::vector<std::unique_ptr<BandwidthThrottle>> egress_;
     std::vector<std::unique_ptr<BandwidthThrottle>> ingress_;
-    /** In-flight transfer count per NIC channel (concurrent-transfer
-     *  accounting); heap cells because atomics don't move. */
-    std::vector<std::unique_ptr<std::atomic<int>>> egress_active_;
-    std::vector<std::unique_ptr<std::atomic<int>>> ingress_active_;
     std::vector<std::unique_ptr<Mailbox>> mailboxes_;
     /** Per-node NIC liveness; heap cells because atomics don't move. */
     std::vector<std::unique_ptr<std::atomic<bool>>> nic_up_;

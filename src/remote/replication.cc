@@ -205,11 +205,6 @@ ReplicationEngine::send_chunk(const Handle& handle, Bytes offset,
                     // relaxed: monitoring counter, no ordering needed.
                     bytes_sent_.fetch_add(sub, std::memory_order_relaxed);
                     bytes_counter.add(sub);
-                    if (send_pacer_) {
-                        // QoS charge for the NIC budget, paid on the
-                        // strand so pacing never blocks the trainer.
-                        send_pacer_(sub);
-                    }
                     if (!net_->transfer_for(self_, state->peer.node, sub,
                                             config_.ack_timeout)
                              .has_value()) {

@@ -157,20 +157,6 @@ class ReplicationEngine {
         watermark_guard_ = std::move(guard);
     }
 
-    /**
-     * Bandwidth pacer invoked on each peer strand with every
-     * sub-chunk's byte count immediately before it is handed to the
-     * fabric. A multi-tenant host wires this to the sending tenant's
-     * NIC-budget arbiter so replication traffic is governed by the
-     * same QoS tier as persist traffic (docs/SERVICE.md §qos); may
-     * block. Empty = unpaced. Set before replication traffic starts;
-     * not thread-safe against in-flight sends.
-     */
-    void set_send_pacer(std::function<void(Bytes)> pacer)
-    {
-        send_pacer_ = std::move(pacer);
-    }
-
     const ReplicationConfig& config() const { return config_; }
     int self_node() const { return self_; }
 
@@ -231,8 +217,6 @@ class ReplicationEngine {
     Atomic<Bytes> bytes_sent_{0};
     /** Set once before traffic starts; called on the advancing thread. */
     std::function<void(std::uint64_t)> watermark_guard_;
-    /** Set once before traffic starts; called on the peer strands. */
-    std::function<void(Bytes)> send_pacer_;
 };
 
 }  // namespace pccheck

@@ -99,75 +99,4 @@ AdmissionStats AdmissionController::totals() const
     return total;
 }
 
-BandwidthArbiter::BandwidthArbiter(double budget_bytes_per_sec,
-                                   Bytes quantum, Seconds throttle_epsilon,
-                                   const Clock& clock)
-    : budget_(budget_bytes_per_sec),
-      quantum_(quantum),
-      throttle_epsilon_(throttle_epsilon),
-      clock_(clock)
-{
-    PCCHECK_CHECK_MSG(budget_bytes_per_sec > 0,
-                  "BandwidthArbiter: budget must be > 0");
-    PCCHECK_CHECK_MSG(quantum > 0, "BandwidthArbiter: quantum must be > 0");
-}
-
-void BandwidthArbiter::register_tenant(std::uint64_t tenant, double weight)
-{
-    PCCHECK_CHECK_MSG(weight > 0, "BandwidthArbiter: weight must be > 0");
-    MutexLock lock(mu_);
-    weights_[tenant] = weight;
-}
-
-void BandwidthArbiter::acquire(std::uint64_t tenant, Bytes bytes)
-{
-    static Counter& throttled_metric =
-        MetricsRegistry::global().counter("pccheck.service.throttled");
-    if (bytes == 0) {
-        return;
-    }
-    const Seconds arrival = clock_.now();
-    Bytes remaining = bytes;
-    while (remaining > 0) {
-        Seconds wake;
-        Bytes slice;
-        {
-            MutexLock lock(mu_);
-            auto it = weights_.find(tenant);
-            const double weight =
-                it == weights_.end() ? 1.0 : it->second;
-            // Weighted-fair interleave: one turn moves at most
-            // quantum * weight bytes, then the lock is dropped so a
-            // competing tenant's turn can land between our slices.
-            const Bytes turn = std::max<Bytes>(
-                static_cast<Bytes>(static_cast<double>(quantum_) * weight),
-                1);
-            slice = std::min(remaining, turn);
-            const Seconds start = std::max(clock_.now(), cursor_);
-            cursor_ = start + static_cast<double>(slice) / budget_;
-            wake = cursor_;
-        }
-        remaining -= slice;
-        const Seconds now = clock_.now();
-        if (wake > now) {
-            clock_.sleep_for(wake - now);
-        }
-    }
-    // Queueing delay = elapsed minus this request's own service time;
-    // anything above epsilon means we waited behind other tenants.
-    const Seconds queue_delay = (clock_.now() - arrival) -
-                                static_cast<double>(bytes) / budget_;
-    if (queue_delay > throttle_epsilon_) {
-        MutexLock lock(mu_);
-        ++throttled_;
-        throttled_metric.add();
-    }
-}
-
-std::uint64_t BandwidthArbiter::throttled() const
-{
-    MutexLock lock(mu_);
-    return throttled_;
-}
-
 }  // namespace pccheck

@@ -3,27 +3,19 @@
 
 /**
  * @file
- * Admission control and bandwidth QoS for the multi-tenant
- * CheckpointService (docs/SERVICE.md §qos).
+ * Admission control for the multi-tenant CheckpointService
+ * (docs/SERVICE.md §qos).
  *
- * Two cooperating mechanisms per backend shard:
+ * AdmissionController keeps a token bucket per tenant, refilled at the
+ * tenant's weighted share of the shard bandwidth budget. A checkpoint
+ * is admitted only if the tenant's bucket covers its whole size;
+ * otherwise it is REJECTED and the service converts it into a skipped
+ * checkpoint (never a stall — the PCcheck contract that training never
+ * blocks extends tenant-wide here). Admitted persist bytes are then
+ * paced by the shard's BandwidthThrottle in weighted turns
+ * (util/throttle.h).
  *
- *  - AdmissionController — a token bucket per tenant, refilled at the
- *    tenant's weighted share of the shard bandwidth budget. A
- *    checkpoint is admitted only if the tenant's bucket covers its
- *    whole size; otherwise it is REJECTED and the service converts it
- *    into a skipped checkpoint (never a stall — the PCcheck contract
- *    that training never blocks extends tenant-wide here).
- *
- *  - BandwidthArbiter — schedules the persist bytes of admitted work
- *    onto the shard's shared budget with weighted-fair pacing.
- *    Reservations are made per quantum (quantum x weight bytes) on a
- *    shared virtual-time cursor, so a heavy tenant cannot starve a
- *    light one: each reservation advances the shared cursor by only
- *    its own service time, and competing tenants interleave at
- *    quantum granularity.
- *
- * Metrics: pccheck.service.admitted / .rejected / .throttled.
+ * Metrics: pccheck.service.admitted / .rejected.
  */
 
 #include <cstdint>
@@ -95,51 +87,6 @@ class AdmissionController {
     const Clock& clock_;
     mutable Mutex mu_;
     std::map<std::uint64_t, Tenant> tenants_ PCCHECK_GUARDED_BY(mu_);
-};
-
-/**
- * Per-shard weighted-fair bandwidth scheduler. acquire() blocks the
- * calling persist thread until its reservation's start time, pacing
- * aggregate persist traffic to the shard budget while interleaving
- * tenants at quantum granularity.
- */
-class BandwidthArbiter {
-  public:
-    /**
-     * @param budget_bytes_per_sec shard budget (> 0)
-     * @param quantum base reservation size (> 0); a tenant with
-     *        weight w reserves up to quantum * w bytes per turn
-     * @param throttle_epsilon queueing delay past which a request
-     *        counts as throttled (metric)
-     * @param clock time source (must outlive the arbiter)
-     */
-    BandwidthArbiter(double budget_bytes_per_sec, Bytes quantum,
-                     Seconds throttle_epsilon,
-                     const Clock& clock = MonotonicClock::instance());
-
-    /** Declare a tenant's weight (default 1.0 when never declared). */
-    void register_tenant(std::uint64_t tenant, double weight);
-
-    /**
-     * Reserve and wait for @p bytes of shard bandwidth on behalf of
-     * @p tenant. Sleeps outside the lock; reservations from competing
-     * tenants interleave per quantum.
-     */
-    void acquire(std::uint64_t tenant, Bytes bytes);
-
-    /** Requests whose queueing delay exceeded throttle_epsilon. */
-    std::uint64_t throttled() const;
-
-  private:
-    const double budget_;
-    const Bytes quantum_;
-    const Seconds throttle_epsilon_;
-    const Clock& clock_;
-    mutable Mutex mu_;
-    /** Virtual time at which the shared channel next becomes free. */
-    Seconds cursor_ PCCHECK_GUARDED_BY(mu_) = 0;
-    std::map<std::uint64_t, double> weights_ PCCHECK_GUARDED_BY(mu_);
-    std::uint64_t throttled_ PCCHECK_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace pccheck

@@ -274,7 +274,7 @@ class SegmentLog {
     /**
      * Bandwidth pacer invoked by the flusher with each sub-batch's
      * total byte count before the device writes (the service wires
-     * the shard's QoS arbiter or plain throttle here). May block.
+     * the shard's bandwidth throttle here). May block.
      */
     void set_pacer(std::function<void(Bytes)> pacer);
 

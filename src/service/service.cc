@@ -5,9 +5,17 @@
 
 #include "util/check.h"
 #include "util/logging.h"
+#include "util/metrics.h"
 #include "util/sync.h"
 
 namespace pccheck {
+
+namespace {
+
+/** Queueing past a write's own service time that counts as throttled. */
+constexpr Seconds kThrottledQueueDelay = 500e-6;
+
+}  // namespace
 
 /**
  * Alive gate at the bottom of every shard stack: once the backend is
@@ -75,7 +83,7 @@ class CheckpointService::GateStorage final : public StorageDevice {
 
 /**
  * Bandwidth decorator over one tenant's window: every write pays the
- * shard's QoS arbiter (or the blind shared throttle) BEFORE reaching
+ * shard's bandwidth throttle at the tenant's weight BEFORE reaching
  * the device, so persist traffic of all tenants is scheduled by one
  * mechanism and the backends themselves stay unthrottled. Decorator —
  * forwards set_observe_hook.
@@ -83,18 +91,15 @@ class CheckpointService::GateStorage final : public StorageDevice {
 class CheckpointService::PacedStorage final : public StorageDevice {
   public:
     PacedStorage(StorageDevice& inner, CheckpointService* service,
-                 int shard, std::uint64_t principal)
-        : inner_(&inner),
-          service_(service),
-          shard_(shard),
-          principal_(principal)
+                 int shard, double weight)
+        : inner_(&inner), service_(service), shard_(shard), weight_(weight)
     {
     }
 
     Bytes size() const override { return inner_->size(); }
     StorageStatus write(Bytes offset, const void* src, Bytes len) override
     {
-        service_->pace(shard_, principal_, len);
+        service_->pace(shard_, weight_, len);
         return inner_->write(offset, src, len);
     }
     StorageStatus read(Bytes offset, void* dst, Bytes len) const override
@@ -117,7 +122,7 @@ class CheckpointService::PacedStorage final : public StorageDevice {
     StorageDevice* inner_;
     CheckpointService* service_;
     const int shard_;
-    const std::uint64_t principal_;
+    const double weight_;
 };
 
 /**
@@ -186,7 +191,7 @@ class CheckpointService::TenantSession : public Checkpointer {
         window_ = std::make_unique<RegionStorage>(
             shard_gate, placement.window_offset, placement.window_bytes);
         paced_ = std::make_unique<PacedStorage>(*window_, service_,
-                                                shard_, spec_.id);
+                                                shard_, spec_.weight);
         CheckpointerSubstrate substrate;
         substrate.persist_pool = pool;
         inner_ = std::make_unique<PCcheckCheckpointer>(
@@ -342,6 +347,16 @@ CheckpointService::CheckpointService(const ServiceConfig& config,
         static_cast<std::size_t>(config_.writer_threads),
         config_.pin_writer_threads);
 
+    // The segment log's batches are paced at the summed weight of the
+    // shard's coalesced tenants.
+    std::vector<double> coalesced_weight(backends.size(), 0.0);
+    for (const TenantSpec& spec : config_.tenants) {
+        if (tenant_coalesced(spec, config_.coalescer)) {
+            coalesced_weight[service_shard_of(spec.id, config_.shards)] +=
+                spec.weight;
+        }
+    }
+
     shards_.resize(backends.size());
     for (int s = 0; s < config_.shards; ++s) {
         Shard& shard = shards_[s];
@@ -354,15 +369,9 @@ CheckpointService::CheckpointService(const ServiceConfig& config,
         shard.gate = std::make_unique<GateStorage>(*backends[s]);
         shard.admission =
             std::make_unique<AdmissionController>(config_.qos, clock);
-        if (config_.qos.enabled) {
-            shard.arbiter = std::make_unique<BandwidthArbiter>(
-                config_.qos.device_budget_bytes_per_sec,
-                config_.qos.arbiter_quantum, config_.qos.throttle_epsilon,
-                clock);
-        } else {
-            shard.throttle = std::make_unique<BandwidthThrottle>(
-                config_.qos.device_budget_bytes_per_sec, clock);
-        }
+        shard.channel = std::make_unique<BandwidthThrottle>(
+            config_.qos.device_budget_bytes_per_sec, clock,
+            config_.qos.enabled ? config_.qos.arbiter_quantum : 0);
         if (shard.layout.segment_bytes > 0) {
             SegmentLogConfig seg_config;
             seg_config.segment_bytes = config_.coalescer.segment_bytes;
@@ -381,30 +390,20 @@ CheckpointService::CheckpointService(const ServiceConfig& config,
                        std::uint64_t iteration) {
                     note_durable(tenant, counter, iteration);
                 });
-            shard.segments->set_pacer([this, s](Bytes bytes) {
-                pace(s, kCoalescerPrincipal, bytes);
-            });
+            shard.segments->set_pacer(
+                [this, s, weight = coalesced_weight[s]](Bytes bytes) {
+                    pace(s, weight, bytes);
+                });
         }
     }
 
-    // Register every configured tenant with its shard's QoS tier up
-    // front: shares are defined by the config, not by attach order.
-    std::vector<double> coalesced_weight(shards_.size(), 0.0);
+    // Register every configured tenant with its shard's admission
+    // tier up front: shares are defined by the config, not by attach
+    // order.
     for (const TenantSpec& spec : config_.tenants) {
-        const int s = service_shard_of(spec.id, config_.shards);
-        shards_[s].admission->register_tenant(spec.id, spec.weight,
-                                              spec.state_bytes);
-        if (tenant_coalesced(spec, config_.coalescer)) {
-            coalesced_weight[s] += spec.weight;
-        } else if (shards_[s].arbiter) {
-            shards_[s].arbiter->register_tenant(spec.id, spec.weight);
-        }
-    }
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-        if (shards_[s].arbiter && coalesced_weight[s] > 0) {
-            shards_[s].arbiter->register_tenant(kCoalescerPrincipal,
-                                                coalesced_weight[s]);
-        }
+        shards_[service_shard_of(spec.id, config_.shards)]
+            .admission->register_tenant(spec.id, spec.weight,
+                                        spec.state_bytes);
     }
 }
 
@@ -550,14 +549,18 @@ void CheckpointService::finish()
     }
 }
 
-void CheckpointService::pace(int shard, std::uint64_t principal,
-                             Bytes bytes)
+void CheckpointService::pace(int shard, double weight, Bytes bytes)
 {
-    Shard& s = shards_[shard];
-    if (s.arbiter) {
-        s.arbiter->acquire(principal, bytes);
-    } else if (s.throttle) {
-        s.throttle->acquire(bytes);
+    static Counter& throttled_metric =
+        MetricsRegistry::global().counter("pccheck.service.throttled");
+    BandwidthThrottle& channel = *shards_[shard].channel;
+    const Seconds modeled = channel.acquire(bytes, weight);
+    // Modeled time minus this write's own service time is the time it
+    // queued behind other writes on the shard.
+    if (modeled - channel.service_time(bytes) > kThrottledQueueDelay) {
+        // relaxed: monitoring counter, no ordering required.
+        throttled_.fetch_add(1, std::memory_order_relaxed);
+        throttled_metric.add();
     }
 }
 
@@ -591,13 +594,12 @@ void CheckpointService::note_durable(std::uint64_t tenant,
 ServiceStats CheckpointService::stats() const
 {
     ServiceStats total;
+    // relaxed: monitoring read; staleness is acceptable.
+    total.throttled = throttled_.load(std::memory_order_relaxed);
     for (const Shard& shard : shards_) {
         const AdmissionStats admission = shard.admission->totals();
         total.admitted += admission.admitted;
         total.rejected += admission.rejected;
-        if (shard.arbiter) {
-            total.throttled += shard.arbiter->throttled();
-        }
         if (shard.segments) {
             const SegmentLogStats segments = shard.segments->stats();
             total.coalesced_records += segments.records;

@@ -15,8 +15,8 @@
  *    (CheckpointerSubstrate);
  *  - each shard's bandwidth is governed by an AdmissionController
  *    (token buckets; over-budget checkpoints become SKIPS, not
- *    stalls) and a weighted-fair BandwidthArbiter (QoS mode) or a
- *    blind shared BandwidthThrottle (the no-QoS baseline);
+ *    stalls) and one BandwidthThrottle that paces every write:
+ *    weighted turns with QoS, FIFO without (the no-QoS baseline);
  *  - tiny tenants coalesce into the shard's shared SegmentLog
  *    instead of owning arenas.
  *
@@ -51,6 +51,7 @@
 #include "trainsim/checkpointer.h"
 #include "trainsim/training_state.h"
 #include "util/annotations.h"
+#include "util/sync.h"
 #include "util/throttle.h"
 
 namespace pccheck {
@@ -66,7 +67,9 @@ struct TenantWatermark {
 struct ServiceStats {
     std::uint64_t admitted = 0;
     std::uint64_t rejected = 0;   ///< admission skips (QoS backpressure)
-    std::uint64_t throttled = 0;  ///< arbiter waits past epsilon
+    /** Writes that queued more than 500 µs behind other writes on
+     *  their shard's throttle (both QoS modes). */
+    std::uint64_t throttled = 0;
     std::uint64_t requested = 0;  ///< checkpoints reaching the tenants
     std::uint64_t completed = 0;
     std::uint64_t aborted = 0;
@@ -164,19 +167,15 @@ class CheckpointService {
         /** Alive gate every tenant window and the segment log sit on. */
         std::unique_ptr<GateStorage> gate;
         std::unique_ptr<AdmissionController> admission;
-        /** QoS mode: weighted-fair scheduler over the shard budget. */
-        std::unique_ptr<BandwidthArbiter> arbiter;
-        /** No-QoS baseline: blind shared FIFO channel. */
-        std::unique_ptr<BandwidthThrottle> throttle;
+        /** The shard budget: weighted turns with QoS, FIFO without. */
+        std::unique_ptr<BandwidthThrottle> channel;
         /** Coalescer; null when no tenant of this shard coalesces. */
         std::unique_ptr<SegmentLog> segments;
     };
 
-    /** Pseudo-principal the coalescer's batches are arbitrated as. */
-    static constexpr std::uint64_t kCoalescerPrincipal = ~0ULL;
-
     const TenantSpec* spec_of(std::uint64_t id) const;
-    void pace(int shard, std::uint64_t principal, Bytes bytes);
+    /** Pay @p bytes of shard bandwidth at @p weight; counts throttling. */
+    void pace(int shard, double weight, Bytes bytes);
     /** Reclaim-gate verdict for a coalesced record (tenant, counter). */
     bool may_reclaim(std::uint64_t tenant, std::uint64_t counter) const;
     void note_durable(std::uint64_t tenant, std::uint64_t counter,
@@ -187,6 +186,8 @@ class CheckpointService {
     std::unique_ptr<ThreadPool> pool_;
     std::vector<Shard> shards_;
     std::map<std::uint64_t, std::unique_ptr<TenantSession>> sessions_;
+    /** ServiceStats::throttled; relaxed monitoring counter. */
+    Atomic<std::uint64_t> throttled_{0};
 
     mutable Mutex wm_mu_;
     /** Coalesced tenants' durable watermarks (fed by the segment

@@ -1,6 +1,7 @@
 #include "service/service_config.h"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <string>
 
@@ -48,15 +49,18 @@ ConfigDiagnostics ServiceConfig::validate() const
         diag.error("writer_threads", "must be >= 1");
     }
 
-    if (qos.enabled && qos.device_budget_bytes_per_sec <= 0) {
+    // The budget paces the shard throttle in both modes (0 there means
+    // unthrottled) and refills the admission buckets with QoS on.
+    const double budget = qos.device_budget_bytes_per_sec;
+    if (!std::isfinite(budget) || budget < 0) {
+        diag.error("qos.device_budget_bytes_per_sec",
+                   "must be finite and >= 0");
+    } else if (qos.enabled && budget <= 0) {
         diag.error("qos.device_budget_bytes_per_sec",
                    "QoS needs a positive shard bandwidth budget");
     }
     if (qos.arbiter_quantum == 0) {
         diag.error("qos.arbiter_quantum", "must be > 0");
-    }
-    if (qos.throttle_epsilon < 0) {
-        diag.error("qos.throttle_epsilon", "must be >= 0");
     }
 
     if (coalescer.segments_per_backend < 2) {
@@ -79,8 +83,8 @@ ConfigDiagnostics ServiceConfig::validate() const
         if (spec.state_bytes == 0) {
             diag.error(prefix + ".state_bytes", "must be > 0");
         }
-        if (!(spec.weight > 0.0)) {
-            diag.error(prefix + ".weight", "must be > 0");
+        if (!std::isfinite(spec.weight) || !(spec.weight > 0.0)) {
+            diag.error(prefix + ".weight", "must be finite and > 0");
         }
         if (tenant_coalesced(spec, coalescer)) {
             // A coalesced record must fit a segment alongside its

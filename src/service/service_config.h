@@ -10,8 +10,8 @@
  *  - every tenant keeps its own PCcheckCheckpointer knobs
  *    (TenantSpec.checkpoint);
  *  - QosConfig governs the shared-bandwidth tier: per-tenant token
- *    buckets for admission plus the weighted-fair arbiter that
- *    schedules persist work onto each shard's device budget;
+ *    buckets for admission plus the weighted turns in which each
+ *    shard's bandwidth throttle paces persist work onto its budget;
  *  - CoalescerConfig routes tiny tenants into the shared CRC-framed
  *    segment log instead of a private slot arena.
  *
@@ -26,7 +26,6 @@
 
 #include "core/config.h"
 #include "util/bytes.h"
-#include "util/clock.h"
 #include "util/validation.h"
 
 namespace pccheck {
@@ -38,7 +37,7 @@ struct TenantSpec {
     /** Checkpointable state size m for this tenant. */
     Bytes state_bytes = 64 * kKiB;
     /** QoS weight: share of the shard budget relative to the other
-     *  tenants on the shard (buckets + arbiter quanta scale with it). */
+     *  tenants on the shard (buckets + throttle turns scale with it). */
     double weight = 1.0;
     /** Orchestrator knobs for tenants large enough for a private slot
      *  arena; ignored for coalesced tenants. */
@@ -50,7 +49,7 @@ struct QosConfig {
     /**
      * Master switch. Disabled, the service still shares each shard's
      * bandwidth budget, but as a blind FIFO channel: no admission
-     * control, no weighted-fair scheduling — the contention baseline
+     * control, no weighted turns — the contention baseline
      * fig_service compares against.
      */
     bool enabled = true;
@@ -61,11 +60,10 @@ struct QosConfig {
      * state (one checkpoint of burst on top of the steady share).
      */
     Bytes burst_bytes = 0;
-    /** Weighted-fair dequeue granularity of the bandwidth arbiter. */
+    /** Turn size of each shard's bandwidth throttle with QoS on: a
+     *  tenant of weight w reserves up to arbiter_quantum x w bytes per
+     *  turn. Unused with QoS off, where each write is one FIFO turn. */
     Bytes arbiter_quantum = 64 * kKiB;
-    /** Queueing delay past which an admitted request counts as
-     *  throttled (metric pccheck.service.throttled). */
-    Seconds throttle_epsilon = 500e-6;
 };
 
 /** Small-checkpoint coalescer knobs (docs/SERVICE.md §coalescing). */

@@ -4,11 +4,26 @@
 /**
  * @file
  * Bandwidth throttle modeling a shared transfer channel (PCIe link,
- * SSD, PMEM, network). Concurrent callers share the channel: each
- * acquire() reserves the next slice of channel time and blocks until
- * that slice has elapsed, so aggregate throughput never exceeds the
- * configured bandwidth regardless of thread count. This is the single
- * mechanism by which the repository emulates device speeds.
+ * SSD, PMEM, network NIC, a service shard's budget). Concurrent
+ * callers share the channel: each acquire() reserves the next slice
+ * of channel time on one cursor and blocks until that slice has
+ * elapsed, so aggregate throughput never exceeds the configured
+ * bandwidth regardless of thread count. This is the only mechanism by
+ * which the repository emulates device speeds.
+ *
+ * Two pacing modes, chosen by the constructor's quantum:
+ *  - quantum == 0: one reservation per acquire(), so concurrent
+ *    callers queue FIFO. Storage and PCIe use this mode.
+ *  - quantum > 0: acquire(n, weight) reserves in turns of at most
+ *    quantum x weight bytes and drops the lock between turns, so
+ *    concurrent flows interleave at turn granularity in proportion
+ *    to their weights (weighted-fair sharing).
+ *
+ * Lone-flow rule: a flow's first turn starts at max(arrival, cursor)
+ * and each later turn at max(its previous turn's end, cursor), never
+ * at "now". A flow alone on the channel therefore ends exactly where
+ * one whole reservation would, however late its sleeps wake; a
+ * competing flow's turn still queues between two of its turns.
  */
 
 #include "util/annotations.h"
@@ -23,17 +38,26 @@ class BandwidthThrottle {
     /**
      * @param bytes_per_sec channel bandwidth; 0 disables throttling
      * @param clock time source used for pacing (must outlive this)
+     * @param quantum turn size of weighted-fair sharing; 0 reserves
+     *        each acquire() whole (FIFO)
      */
     explicit BandwidthThrottle(
         double bytes_per_sec,
-        const Clock& clock = MonotonicClock::instance());
+        const Clock& clock = MonotonicClock::instance(),
+        Bytes quantum = 0);
 
     /**
      * Account for a transfer of @p n bytes, blocking until the channel
-     * has "moved" them. Returns the modeled transfer duration for this
-     * request in seconds (including queueing behind other callers).
+     * has "moved" them. @p weight (> 0) scales the turn size when the
+     * channel has a quantum and is ignored otherwise. Returns the
+     * modeled transfer duration for this request in seconds
+     * (including queueing behind other callers).
      */
-    Seconds acquire(Bytes n);
+    Seconds acquire(Bytes n, double weight = 1.0);
+
+    /** Time @p n bytes occupy the channel at its current bandwidth,
+     *  without queueing; 0 when throttling is disabled. */
+    Seconds service_time(Bytes n) const;
 
     double bytes_per_sec() const;
 
@@ -42,6 +66,7 @@ class BandwidthThrottle {
 
   private:
     const Clock& clock_;
+    const Bytes quantum_;
     mutable Mutex mu_;
     /** Guarded: set_bytes_per_sec() may race acquire() otherwise (the
      *  unguarded read was a real race the thread-safety pass flagged). */

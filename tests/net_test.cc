@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <thread>
+#include <vector>
 
 #include "net/network.h"
+#include "util/bytes.h"
 #include "util/clock.h"
 
 namespace pccheck {
@@ -92,6 +96,57 @@ TEST(SimNetworkTest, SendersShareEgressNic)
     b.join();
     // Both leave node 0: the shared egress NIC makes this ~20 ms.
     EXPECT_GE(watch.elapsed(), 0.015);
+}
+
+TEST(NetworkSharingTest, ConcurrentTransfersShareTheChannel)
+{
+    SimNetwork network(config(4, 20e6));
+    const Bytes len = kMiB;  // ~52 ms per NIC at 20 MB/s
+
+    Stopwatch single;
+    network.transfer(0, 1, len);
+    const Seconds alone = single.elapsed();
+    ASSERT_GT(alone, 0.0);
+
+    // Three transfers leave node 0 together. The egress NIC paces in
+    // 256 KiB turns, so all three interleave there (processor sharing)
+    // and then each pays its own receiver's ingress.
+    std::vector<Seconds> elapsed(3, 0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 3; ++t) {
+        threads.emplace_back([&network, &elapsed, len, t] {
+            Stopwatch watch;
+            network.transfer(0, t + 1, len);
+            elapsed[t] = watch.elapsed();
+        });
+    }
+    for (std::thread& thread : threads) {
+        thread.join();
+    }
+    std::sort(elapsed.begin(), elapsed.end());
+    // The egress NIC serialized 3 MiB of payload: the last finisher
+    // reflects the full contended window.
+    EXPECT_GT(elapsed[2], alone * 1.4);
+    // All three shared the NIC, so they finish one egress turn apart.
+    // FIFO would finish them a whole egress leg (~0.5 alone) apart.
+    EXPECT_LT(elapsed[2] - elapsed[1], alone * 0.25);
+    EXPECT_LT(elapsed[2] - elapsed[0], alone * 0.4);
+}
+
+TEST(NetworkConfigTest, ValidateRejectsNonFiniteOrNegativeBandwidth)
+{
+    NetworkConfig cfg;
+    EXPECT_TRUE(cfg.validate().ok());
+    cfg.nic_bytes_per_sec = 0;  // unthrottled
+    EXPECT_TRUE(cfg.validate().ok());
+    // Each would otherwise abort in the NIC throttle's constructor
+    // (NaN) or pace nothing while claiming a bandwidth (infinity).
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -1.0}) {
+        cfg.nic_bytes_per_sec = bad;
+        EXPECT_FALSE(cfg.validate().ok()) << bad;
+    }
 }
 
 TEST(SimNetworkTest, InvalidNodeAborts)

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "util/affinity.h"
+#include "util/annotations.h"
 #include "util/bytes.h"
 #include "util/check.h"
 #include "util/clock.h"
@@ -269,11 +270,13 @@ TEST(ThrottleTest, UnthrottledIsImmediate)
     Stopwatch watch;
     throttle.acquire(100 * kMiB);
     EXPECT_LT(watch.elapsed(), 0.01);
+    EXPECT_EQ(throttle.service_time(100 * kMiB), 0.0);
 }
 
 TEST(ThrottleTest, PacesToConfiguredBandwidth)
 {
     BandwidthThrottle throttle(10e6);  // 10 MB/s
+    EXPECT_DOUBLE_EQ(throttle.service_time(100'000), 0.01);
     Stopwatch watch;
     throttle.acquire(100'000);  // expect ~10 ms
     const Seconds elapsed = watch.elapsed();
@@ -294,6 +297,105 @@ TEST(ThrottleTest, ConcurrentCallersShareChannel)
     }
     // 4 × 50 KB at 10 MB/s shared = at least ~20 ms total.
     EXPECT_GE(watch.elapsed(), 0.016);
+}
+
+/**
+ * Virtual clock: sleep_for advances time by the request plus a fixed
+ * overshoot (a sleep that always wakes late), and counts the sleeps.
+ */
+class VirtualClock final : public Clock {
+  public:
+    explicit VirtualClock(Seconds overshoot = 0) : overshoot_(overshoot) {}
+    Seconds now() const override
+    {
+        MutexLock lock(mu_);
+        return now_;
+    }
+    void sleep_for(Seconds duration) const override
+    {
+        MutexLock lock(mu_);
+        now_ += duration + overshoot_;
+        ++sleeps_;
+    }
+    int sleeps() const
+    {
+        MutexLock lock(mu_);
+        return sleeps_;
+    }
+
+  private:
+    const Seconds overshoot_;
+    mutable Mutex mu_;
+    mutable Seconds now_ PCCHECK_GUARDED_BY(mu_) = 0;
+    mutable int sleeps_ PCCHECK_GUARDED_BY(mu_) = 0;
+};
+
+TEST(ThrottleTest, LoneSlicedFlowEndsWhereOneReservationWould)
+{
+    // Every sleep wakes 1 ms late. A flow alone on the channel starts
+    // each later turn where its previous turn ended, not where the
+    // late wake left it, so ten turns pay the overshoot once, exactly
+    // like one whole reservation.
+    for (const Bytes quantum : {Bytes{0}, Bytes{100}}) {
+        VirtualClock clock(/*overshoot=*/1e-3);
+        BandwidthThrottle throttle(1000.0, clock, quantum);
+        const Seconds modeled = throttle.acquire(1000);
+        EXPECT_NEAR(clock.now(), 1.001, 1e-9) << "quantum " << quantum;
+        EXPECT_NEAR(modeled, 1.0, 1e-9) << "quantum " << quantum;
+        EXPECT_EQ(clock.sleeps(), quantum == 0 ? 1 : 10);
+    }
+}
+
+TEST(ThrottleTest, WeightedTurnsPaceOneFlowToTheBudget)
+{
+    VirtualClock clock;
+    BandwidthThrottle throttle(1000.0, clock, /*quantum=*/100);
+    // 1000 bytes at 1000 B/s: exactly one virtual second, paid in
+    // quantum-sized turns, with no queueing past its own service time.
+    EXPECT_NEAR(throttle.acquire(1000), 1.0, 1e-9);
+    EXPECT_NEAR(clock.now(), 1.0, 1e-9);
+    EXPECT_EQ(clock.sleeps(), 10);
+    // Weight 2 doubles the turn: half as many turns, same pacing.
+    EXPECT_NEAR(throttle.acquire(1000, 2.0), 1.0, 1e-9);
+    EXPECT_NEAR(clock.now(), 2.0, 1e-9);
+    EXPECT_EQ(clock.sleeps(), 15);
+}
+
+TEST(ThrottleTest, HugeWeightTakesOneTurn)
+{
+    // quantum x weight is far past what a Bytes holds: the turn is
+    // clamped to the bytes left, so the flow is one reservation.
+    VirtualClock clock;
+    BandwidthThrottle throttle(1000.0, clock, /*quantum=*/100);
+    EXPECT_NEAR(throttle.acquire(1000, 1e30), 1.0, 1e-9);
+    EXPECT_EQ(clock.sleeps(), 1);
+}
+
+TEST(ThrottleTest, CompetingFlowsShareTheBudget)
+{
+    // A virtual clock cannot show queueing here: every sleep snaps
+    // time forward to the cursor, so two flows only interleave if a
+    // real-time race goes one way. On the real clock the background
+    // flow sleeps ~1 ms between turns, so the foreground flow's turns
+    // land between them and wait behind the shared cursor.
+    const Clock& clock = MonotonicClock::instance();
+    BandwidthThrottle throttle(1.0e6, clock, /*quantum=*/1000);
+    std::thread other([&throttle] { throttle.acquire(300000); });  // ~300 ms
+    clock.sleep_for(0.03);  // background flow is mid-flight
+    Stopwatch watch(clock);
+    const Seconds modeled = throttle.acquire(20000);  // 20 ms alone
+    const Seconds elapsed = watch.elapsed();
+    other.join();
+    // Interleaved with the background turns, the foreground flow
+    // queued far past its own 20 ms of service time, and it was
+    // blocked for all of it. Wall time has no tighter floor: when a
+    // scheduler stall leaves the channel idle, the lone-flow rule
+    // lets the next turns start where the stalled ones would have.
+    EXPECT_GT(modeled - 0.020, 2e-3);
+    EXPECT_GE(elapsed, modeled);
+    // Shared 1:1 it takes ~40 ms. A FIFO channel would have queued it
+    // behind the ~270 ms left of the background reservation.
+    EXPECT_LT(modeled, 0.15);
 }
 
 TEST(Crc32Test, KnownVector)
