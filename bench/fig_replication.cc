@@ -12,9 +12,13 @@
  * slowdown vs the local-only baseline at the same bandwidth, plus the
  * peers' durable-publish watermark and degradation counters.
  *
- * Expected shape: quorum=1 rides the pipelined overlap and costs a
- * few percent; quorum=2 tracks the slowest peer and feels bandwidth;
- * a dead peer under quorum=1 degrades nothing but pays ack deadlines.
+ * Expected shape: replicas form a chain, so the owner's NIC carries
+ * one copy whatever the replica count and r2q1 tracks r1q1; r2q2
+ * trails them by the tail's extra hop; every replicated row gains
+ * with NIC bandwidth but stays below local-only, because a staging
+ * buffer returns only once the chain's last peer has its bytes. A
+ * dead peer under quorum=1 degrades nothing but pays one ack deadline
+ * per checkpoint, which dominates this small model's step time.
  *
  * Usage: fig_replication [--smoke] [--trace-out=FILE]
  */

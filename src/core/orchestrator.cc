@@ -171,10 +171,10 @@ PCcheckCheckpointer::~PCcheckCheckpointer()
         }
     }
     // A completed checkpoint can still have replication in flight: a
-    // met quorum returns await_quorum before slow peers drain, and
-    // watermark advances are queued behind them. Those strand tasks
-    // read this object's staging buffers and release into its
-    // free-buffer queue, so they must finish before members die.
+    // met quorum returns await_quorum before slow peers drain. Those
+    // strand tasks read this object's staging buffers and release
+    // into its free-buffer queue, so they must finish before members
+    // die.
     if (replication_ != nullptr) {
         replication_->flush();
     }
@@ -607,7 +607,7 @@ PCcheckCheckpointer::run_snapshot(const Request& request)
     }
 
     // With replication attached the staged bytes have two consumers —
-    // the local persist engine and the per-peer network fan-out — so
+    // the local persist engine and the peer replication chain — so
     // the buffer returns to the pool only when the last of the two
     // parties releases its hold.
     struct ChunkHold {
@@ -667,7 +667,7 @@ PCcheckCheckpointer::run_snapshot(const Request& request)
                 });
             if (inflight->replication != nullptr) {
                 // Pipelined per-chunk replication: the same staged
-                // bytes stream to every peer concurrently with the
+                // bytes go down the peer chain concurrently with the
                 // local persist of this chunk.
                 replication_->send_chunk(
                     inflight->replication, offset, buffer, this_len,
@@ -685,10 +685,10 @@ PCcheckCheckpointer::run_snapshot(const Request& request)
     snapshot_cv_.notify_all();
 
     if (inflight->replication != nullptr) {
-        // Every chunk is on its strand: deliver the final CRC so each
-        // peer can validate and ack. Must precede the CRC-guard drop —
-        // await_quorum in the commit path relies on the seal being
-        // queued behind the last chunk.
+        // Every chunk is sent: deliver the final CRC so each peer can
+        // validate and ack. Must precede the CRC-guard drop —
+        // await_quorum in the commit path waits for the acks the seal
+        // produces.
         replication_->seal(inflight->replication, crc);
     }
     inflight->crc = crc;

@@ -30,8 +30,8 @@ NetworkConfig::validate() const
     if (!std::isfinite(nic_bytes_per_sec) || nic_bytes_per_sec < 0) {
         diag.error("nic_bytes_per_sec", "must be finite and >= 0");
     }
-    if (latency < 0) {
-        diag.error("latency", "must be >= 0");
+    if (!std::isfinite(latency) || latency < 0) {
+        diag.error("latency", "must be finite and >= 0");
     }
     return diag;
 }
@@ -44,6 +44,7 @@ SimNetwork::SimNetwork(const NetworkConfig& config, const Clock& clock)
     ingress_.reserve(config.nodes);
     mailboxes_.reserve(config.nodes);
     nic_up_.reserve(config.nodes);
+    sent_.reserve(config.nodes);
     for (int i = 0; i < config.nodes; ++i) {
         egress_.push_back(std::make_unique<BandwidthThrottle>(
             config.nic_bytes_per_sec, clock, kNetShareQuantum));
@@ -51,6 +52,7 @@ SimNetwork::SimNetwork(const NetworkConfig& config, const Clock& clock)
             config.nic_bytes_per_sec, clock, kNetShareQuantum));
         mailboxes_.push_back(std::make_unique<Mailbox>());
         nic_up_.push_back(std::make_unique<std::atomic<bool>>(true));
+        sent_.push_back(std::make_unique<std::atomic<Bytes>>(0));
     }
 }
 
@@ -59,6 +61,14 @@ SimNetwork::pay_bandwidth(int from, int to, Bytes len)
 {
     (void)egress_[from]->acquire(len);
     (void)ingress_[to]->acquire(len);
+}
+
+void
+SimNetwork::count_delivered(int from, Bytes len)
+{
+    // relaxed: monitoring counters, no ordering with transfers needed.
+    bytes_moved_.fetch_add(len, std::memory_order_relaxed);
+    sent_[from]->fetch_add(len, std::memory_order_relaxed);
 }
 
 void
@@ -78,8 +88,7 @@ SimNetwork::transfer(int from, int to, Bytes len)
     if (from != to) {
         pay_bandwidth(from, to, len);
     }
-    // relaxed: monitoring counter, no ordering with transfers needed.
-    bytes_moved_.fetch_add(len, std::memory_order_relaxed);
+    count_delivered(from, len);
     return watch.elapsed();
 }
 
@@ -117,8 +126,7 @@ SimNetwork::transfer_for(int from, int to, Bytes len, Seconds timeout)
     if (clock_.now() > deadline) {
         return std::nullopt;  // delivered, but the ack deadline passed
     }
-    // relaxed: monitoring counter, no ordering with transfers needed.
-    bytes_moved_.fetch_add(len, std::memory_order_relaxed);
+    count_delivered(from, len);
     return watch.elapsed();
 }
 
@@ -249,6 +257,14 @@ SimNetwork::bytes_moved() const
 {
     // relaxed: monitoring read; staleness is acceptable.
     return bytes_moved_.load(std::memory_order_relaxed);
+}
+
+Bytes
+SimNetwork::bytes_sent_by(int node) const
+{
+    check_node(node);
+    // relaxed: monitoring read; staleness is acceptable.
+    return sent_[node]->load(std::memory_order_relaxed);
 }
 
 }  // namespace pccheck

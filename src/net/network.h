@@ -151,6 +151,10 @@ class SimNetwork {
     /** Total bytes moved through the fabric (monitoring). */
     Bytes bytes_moved() const;
 
+    /** Bytes @p node delivered as the sender: its egress share of
+     *  bytes_moved() (monitoring). */
+    Bytes bytes_sent_by(int node) const;
+
   private:
     struct Mailbox {
         Mutex mu;
@@ -168,6 +172,9 @@ class SimNetwork {
      */
     void pay_bandwidth(int from, int to, Bytes len);
 
+    /** Count @p len delivered bytes sent by @p from. */
+    void count_delivered(int from, Bytes len);
+
     NetworkConfig config_;
     const Clock& clock_;
     std::vector<std::unique_ptr<BandwidthThrottle>> egress_;
@@ -175,6 +182,8 @@ class SimNetwork {
     std::vector<std::unique_ptr<Mailbox>> mailboxes_;
     /** Per-node NIC liveness; heap cells because atomics don't move. */
     std::vector<std::unique_ptr<std::atomic<bool>>> nic_up_;
+    /** Per-node delivered egress bytes; heap cells like nic_up_. */
+    std::vector<std::unique_ptr<std::atomic<Bytes>>> sent_;
     /** Set once during setup (set_fault_injector), read by transfers. */
     std::shared_ptr<FaultInjector> injector_;
     std::atomic<Bytes> bytes_moved_{0};

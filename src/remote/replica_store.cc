@@ -71,7 +71,12 @@ ReplicaStore::prune_superseded()
     }
     for (auto it = versions_.begin(); it != versions_.end();) {
         if (it->first < newest) {
-            held_ -= it->second.data.size();
+            // Keep one buffer for the next version; free the rest.
+            if (spare_.empty()) {
+                spare_ = std::move(it->second.data);
+            } else {
+                held_ -= it->second.data.size();
+            }
             it = versions_.erase(it);
         } else {
             ++it;
@@ -88,15 +93,20 @@ ReplicaStore::store_chunk(std::uint64_t counter, std::uint64_t iteration,
     MutexLock lock(mu_);
     auto it = versions_.find(counter);
     if (it == versions_.end()) {
-        if (!make_room(total_len, counter)) {
-            ++rejected_;
-            return ChunkResult{};
+        if (spare_.size() != total_len) {
+            held_ -= spare_.size();
+            std::vector<std::uint8_t>().swap(spare_);
+            if (!make_room(total_len, counter)) {
+                ++rejected_;
+                return ChunkResult{};
+            }
+            spare_.resize(total_len);
+            held_ += total_len;
         }
         Version fresh;
         fresh.iteration = iteration;
         fresh.total_len = total_len;
-        fresh.data.resize(total_len);
-        held_ += total_len;
+        fresh.data.swap(spare_);
         it = versions_.emplace(counter, std::move(fresh)).first;
     }
     Version& version = it->second;

@@ -13,6 +13,11 @@
  * are all present and whose CRC validates becomes `complete` — the
  * unit of an ack in the write-quorum protocol.
  *
+ * Sealing a version drops every older one, keeping one of their
+ * buffers for the next version: a peer written one version at a time
+ * holds the newest complete version plus one buffer, and allocates
+ * nothing per version in steady state.
+ *
  * The durable-publish watermark tracks the newest counter the owner
  * reported as both locally durable and quorum-acked. Recovery may
  * restore any complete version with counter >= watermark; eviction
@@ -41,7 +46,7 @@ struct ReplicaSnapshot {
 /** Counters exposed for tests and monitoring. */
 struct ReplicaStoreStats {
     std::size_t versions = 0;     ///< versions currently held
-    Bytes bytes_held = 0;         ///< DRAM in use
+    Bytes bytes_held = 0;         ///< DRAM in use, spare buffer included
     std::uint64_t evictions = 0;  ///< versions dropped for the budget
     std::uint64_t rejected = 0;   ///< chunks refused (budget too small)
 };
@@ -59,10 +64,10 @@ class ReplicaStore {
 
     /**
      * Store one chunk of version @p counter. The first chunk of a new
-     * counter allocates the whole @p total_len buffer (evicting under
-     * the budget if needed); a version that cannot fit is refused and
-     * every later chunk of it is refused too, which surfaces to the
-     * sender as a failed ack.
+     * counter takes the spare buffer when it has @p total_len bytes,
+     * else allocates one (evicting under the budget if needed); a
+     * version that cannot fit is refused and every later chunk of it
+     * is refused too, which surfaces to the sender as a failed ack.
      */
     ChunkResult store_chunk(std::uint64_t counter, std::uint64_t iteration,
                             Bytes total_len, Bytes offset, const void* data,
@@ -126,12 +131,15 @@ class ReplicaStore {
     /** Evict until @p need more bytes fit; false if impossible. */
     bool make_room(Bytes need, std::uint64_t incoming)
         PCCHECK_REQUIRES(mu_);
-    /** Drop every version older than the newest complete one. */
+    /** Drop every version older than the newest complete one, keeping
+     *  one of their buffers as the spare. */
     void prune_superseded() PCCHECK_REQUIRES(mu_);
 
     const Bytes budget_;
     mutable Mutex mu_;
     std::map<std::uint64_t, Version> versions_ PCCHECK_GUARDED_BY(mu_);
+    /** A superseded version's buffer, counted in held_. */
+    std::vector<std::uint8_t> spare_ PCCHECK_GUARDED_BY(mu_);
     std::uint64_t watermark_ PCCHECK_GUARDED_BY(mu_) = 0;
     Bytes held_ PCCHECK_GUARDED_BY(mu_) = 0;
     std::uint64_t evictions_ PCCHECK_GUARDED_BY(mu_) = 0;

@@ -6,12 +6,17 @@
  * Peer-replication engine — the send side of the checkpoint
  * replication tier (docs/REPLICATION.md).
  *
- * Each checkpoint's staged chunks are streamed to every peer's
+ * Each checkpoint's staged chunks are replicated to every peer's
  * ReplicaStore over SimNetwork::transfer_for *concurrently with* the
  * local persist: the orchestrator hands each chunk to send_chunk()
  * right after handing it to the PersistEngine, so network and storage
  * pipelines overlap per chunk (Checkmate-style network tier riding
  * FastPersist-style parallel persist).
+ *
+ * Peers form a chain in peer order: the owner sends each sub-chunk to
+ * the first peer only, and each peer that stored it relays it to the
+ * next over its own NIC, so the owner's NIC carries one copy per
+ * checkpoint whatever the replica count.
  *
  * Commit gating: the orchestrator calls await_quorum() before the
  * CHECK_ADDR CAS. A checkpoint publishes when local persist succeeds
@@ -64,7 +69,17 @@ struct ReplicaPeer {
     ReplicaStore* store = nullptr;
 };
 
-/** Streams checkpoint chunks to peer ReplicaStores; thread safe. */
+/**
+ * Replicates checkpoint chunks down a chain of peer ReplicaStores;
+ * thread safe.
+ *
+ * Each chain hop runs kLanes strands on a shared pool of
+ * replicas x kLanes threads, so two sub-chunk transfers are in flight
+ * per hop. A failed hop is skipped: the next peer receives from the
+ * nearest earlier holder, the owner included. A peer stores a version
+ * only after every earlier-issued sub-chunk and seal addressed to it
+ * has resolved, so it writes one version at a time.
+ */
 class ReplicationEngine {
   public:
     /**
@@ -101,6 +116,12 @@ class ReplicationEngine {
         int resolved_ PCCHECK_GUARDED_BY(mu_) = 0;  ///< acked or failed
         std::vector<bool> peer_failed_ PCCHECK_GUARDED_BY(mu_);
         std::vector<bool> peer_acked_ PCCHECK_GUARDED_BY(mu_);
+        /** Per peer: sub-chunks sent but not yet resolved there. */
+        std::vector<int> pending_ PCCHECK_GUARDED_BY(mu_);
+        bool sealed_ PCCHECK_GUARDED_BY(mu_) = false;  ///< seal() ran
+        std::uint32_t data_crc_ PCCHECK_GUARDED_BY(mu_) = 0;
+        /** advance_watermark() ran: a later ack advances its peer. */
+        bool published_ PCCHECK_GUARDED_BY(mu_) = false;
     };
     using Handle = std::shared_ptr<Inflight>;
 
@@ -109,19 +130,24 @@ class ReplicationEngine {
                  Bytes total_len);
 
     /**
-     * Stream one staged chunk to every peer, pipelined with the local
-     * persist of the same bytes. @p src must stay valid until @p done
-     * runs (once, after every peer has either stored or failed the
-     * chunk) — the orchestrator shares the staging buffer between this
-     * and the persist engine via a two-party refcount.
+     * Send one staged chunk down the peer chain, pipelined with the
+     * local persist of the same bytes: the owner sends each sub-chunk
+     * to the first peer, and each peer that stored it relays it to
+     * the next. Every hop copies from @p src, which must stay valid
+     * until @p done runs (once, after the last peer has either stored
+     * or failed every sub-chunk) — the orchestrator shares the staging
+     * buffer between this and the persist engine via a two-party
+     * refcount.
      */
     void send_chunk(const Handle& handle, Bytes offset, const void* src,
                     Bytes len, std::function<void()> done);
 
     /**
      * Final chunk sent: deliver the checkpoint CRC. Each peer seals
-     * its version (byte-completeness + CRC check) and acks or fails.
-     * Must be called exactly once per handle, after every send_chunk.
+     * its version (byte-completeness + CRC check) and acks or fails:
+     * on the strand that resolves its last sub-chunk, or on a strand
+     * queued here when every sub-chunk has already resolved. Must be
+     * called exactly once per handle, after every send_chunk.
      */
     void seal(const Handle& handle, std::uint32_t data_crc);
 
@@ -138,17 +164,18 @@ class ReplicationEngine {
     /**
      * The handle's checkpoint is now locally durable (published) and
      * quorum-acked: advance the durable-publish watermark on every
-     * peer that acked it. Only call after await_quorum(handle)
-     * returned true and the local publish succeeded.
+     * peer that acked it, now or when its seal lands later. Only call
+     * after await_quorum(handle) returned true and the local publish
+     * succeeded.
      */
     void advance_watermark(const Handle& handle);
 
     /**
      * Observation guard invoked (on the caller's thread) with the
-     * counter of every advance_watermark() before the peer-side
-     * advances are queued. The persistence sanitizer uses this to
-     * enforce ack-before-payload ordering (docs/PSAN.md rule V1)
-     * without this layer depending on psan. Empty = no guard. Set
+     * counter of every advance_watermark() before any peer-side
+     * advance. The persistence sanitizer uses this to enforce
+     * ack-before-payload ordering (docs/PSAN.md rule V1) without this
+     * layer depending on psan. Empty = no guard. Set
      * before replication traffic starts; not thread-safe against
      * in-flight advances.
      */
@@ -161,10 +188,10 @@ class ReplicationEngine {
     int self_node() const { return self_; }
 
     /**
-     * Block until every queued peer task (chunk sends, seals,
-     * watermark advances) has drained. Only meaningful once callers
-     * stop issuing new work — tests and shutdown paths use it to make
-     * the asynchronous strand state observable.
+     * Block until every queued peer task (chunk hops and seals) has
+     * drained. Only meaningful once callers stop issuing new work —
+     * tests and shutdown paths use it to make the asynchronous strand
+     * state observable.
      */
     void flush();
 
@@ -182,7 +209,11 @@ class ReplicationEngine {
         return acks_.load(std::memory_order_relaxed);
     }
 
-    /** Total bytes handed to the fabric (includes dropped sends). */
+    /**
+     * Total bytes handed to the fabric, counted on every hop (a chain
+     * of R peers sends R copies, one per hop) and including dropped
+     * sends.
+     */
     Bytes bytes_sent() const
     {
         // relaxed: monitoring counter, no ordering required.
@@ -191,18 +222,55 @@ class ReplicationEngine {
 
   private:
     /**
-     * Per-peer FIFO strand: chunk sends and the seal for one peer run
-     * in order on the shared pool, while peers proceed in parallel.
+     * Sub-chunk transfers in flight per chain hop. transfer_for pays
+     * egress, then ingress, so one transfer in flight keeps each NIC
+     * busy half the time; two keep both busy.
      */
-    struct PeerState {
-        ReplicaPeer peer;
+    static constexpr std::size_t kLanes = 2;
+
+    /** FIFO task queue run on the shared pool, one task at a time. */
+    struct Strand {
         Mutex mu;
         std::deque<std::function<void()>> queue PCCHECK_GUARDED_BY(mu);
         bool running PCCHECK_GUARDED_BY(mu) = false;
     };
 
-    void enqueue(PeerState& state, std::function<void()> task);
-    void drain(PeerState& state);
+    /** Consecutive work items for one version at one peer. */
+    struct Run {
+        std::uint64_t counter = 0;
+        int unresolved = 0;
+    };
+
+    /** One chain position: its peer, its lanes and its write order. */
+    struct PeerState {
+        ReplicaPeer peer;
+        Strand lanes[kLanes];
+        Mutex mu;
+        CondVar turn_cv;
+        /** Issued, unresolved work in issue order; a sub-chunk stores
+         *  only once every earlier run has resolved. */
+        std::deque<Run> runs PCCHECK_GUARDED_BY(mu);
+        std::uint64_t first_run PCCHECK_GUARDED_BY(mu) = 0;  ///< front's id
+    };
+
+    struct Chunk;
+
+    void enqueue(Strand& strand, std::function<void()> task);
+    void drain(Strand& strand);
+    /** Send one sub-chunk to chain position @p index from @p holder. */
+    void hop(const std::shared_ptr<Chunk>& chunk, Bytes at, Bytes len,
+             std::size_t lane, std::size_t index, int holder);
+    /** One sub-chunk resolved at peer @p index; seals when it was the
+     *  last one and seal() already ran. */
+    void resolve(const Handle& handle, std::size_t index,
+                 std::uint64_t run);
+    void seal_peer(const Handle& handle, std::size_t index,
+                   std::uint32_t data_crc);
+    /** Append @p items of version @p counter to @p state's runs. */
+    static std::uint64_t issue(PeerState& state, std::uint64_t counter,
+                               int items);
+    static void await_turn(PeerState& state, std::uint64_t run);
+    static void finish_run(PeerState& state, std::uint64_t run);
     void mark_peer_failed(const Handle& handle, std::size_t index);
     void record_ack(const Handle& handle, std::size_t index, bool acked);
 
@@ -211,6 +279,10 @@ class ReplicationEngine {
     const ReplicationConfig config_;
     const Clock* clock_;
     std::vector<std::unique_ptr<PeerState>> peers_;
+    /** Makes each run issue and its lane hand-off one step, so a
+     *  lane never queues work ahead of earlier-issued work. */
+    Mutex issue_mu_;
+    std::size_t next_lane_ PCCHECK_GUARDED_BY(issue_mu_) = 0;
     std::unique_ptr<ThreadPool> pool_;
     Atomic<std::uint64_t> degraded_{0};
     Atomic<std::uint64_t> acks_{0};

@@ -149,6 +149,21 @@ TEST(NetworkConfigTest, ValidateRejectsNonFiniteOrNegativeBandwidth)
     }
 }
 
+TEST(NetworkConfigTest, ValidateRejectsNonFiniteOrNegativeLatency)
+{
+    NetworkConfig cfg;
+    cfg.latency = 0;
+    EXPECT_TRUE(cfg.validate().ok());
+    // NaN slips past `< 0`; either would make every transfer sleep an
+    // undefined or endless time.
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -1e-6}) {
+        cfg.latency = bad;
+        EXPECT_FALSE(cfg.validate().ok()) << bad;
+    }
+}
+
 TEST(SimNetworkTest, InvalidNodeAborts)
 {
     SimNetwork net(config(2, 0));

@@ -8,9 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "core/orchestrator.h"
@@ -75,6 +79,13 @@ TEST(ReplicationConfigTest, ValidateRejectsBadKnobs)
     config.chunk_bytes = 4096;
     config.ack_timeout = 0;
     EXPECT_FALSE(config.validate().ok());
+    // NaN slips past `<= 0`; an infinite deadline makes a dead peer's
+    // transfer_for sleep forever.
+    for (const Seconds bad : {std::numeric_limits<Seconds>::quiet_NaN(),
+                              std::numeric_limits<Seconds>::infinity()}) {
+        config.ack_timeout = bad;
+        EXPECT_FALSE(config.validate().ok()) << bad;
+    }
 
     config.ack_timeout = 0.05;
     EXPECT_TRUE(config.validate().ok());
@@ -296,6 +307,28 @@ TEST(ReplicaStoreTest, EvictionPrefersStaleProtectsNewestComplete)
     EXPECT_EQ(read_back, data);
 }
 
+TEST(ReplicaStoreTest, SealRecyclesTheSupersededBuffer)
+{
+    const Bytes len = 4096;
+    ReplicaStore store;
+    for (std::uint64_t counter = 1; counter <= 4; ++counter) {
+        const auto data =
+            pattern_bytes(len, static_cast<std::uint8_t>(counter));
+        install_version(store, counter, counter, data);
+        std::vector<std::uint8_t> read_back(len);
+        ASSERT_TRUE(store.read(counter, 0, read_back.data(), len));
+        EXPECT_EQ(read_back, data);
+        // The newest version plus the superseded one's buffer, which
+        // the next version reuses instead of allocating.
+        EXPECT_EQ(store.stats().versions, 1u);
+        EXPECT_EQ(store.stats().bytes_held, counter == 1 ? len : 2 * len);
+    }
+    // A version of another size frees the spare and allocates; the
+    // superseded version's buffer becomes the new spare.
+    install_version(store, 5, 5, pattern_bytes(2 * len, 9));
+    EXPECT_EQ(store.stats().bytes_held, 3 * len);
+}
+
 TEST(ReplicaStoreTest, WatermarkIsMonotonic)
 {
     ReplicaStore store;
@@ -410,6 +443,209 @@ TEST(ReplicationEngineTest, DeadPeerDegradesWithinTheAckDeadline)
     EXPECT_EQ(lax.degraded(), 0u);
     EXPECT_EQ(store1.watermark(), 5u);
     EXPECT_EQ(store2.watermark(), 0u);
+}
+
+/** A 3-node fabric: owner 0, chain head 1, chain tail 2. */
+NetworkConfig
+chain_fabric(double nic_bytes_per_sec)
+{
+    NetworkConfig net;
+    net.nodes = 3;
+    net.latency = 0;
+    net.nic_bytes_per_sec = nic_bytes_per_sec;
+    return net;
+}
+
+/** Replicate @p data as one version through @p engine and seal it. */
+ReplicationEngine::Handle
+replicate(ReplicationEngine& engine, std::uint64_t counter,
+          const std::vector<std::uint8_t>& data)
+{
+    auto handle = engine.begin(counter, counter * 2, data.size());
+    engine.send_chunk(handle, 0, data.data(), data.size(), nullptr);
+    engine.seal(handle, crc32c(data.data(), data.size()));
+    return handle;
+}
+
+TEST(ReplicationChainTest, OwnerNicCarriesOneCopy)
+{
+    SimNetwork network(chain_fabric(10e6));
+    ReplicaStore head;
+    ReplicaStore tail;
+    ReplicationConfig config;
+    config.replicas = 2;
+    config.quorum = 2;
+    config.chunk_bytes = 64 * kKiB;
+    config.ack_timeout = 1.0;
+    ReplicationEngine engine(network, 0, config, {{1, &head}, {2, &tail}});
+
+    const auto data = pattern_bytes(1 * kMiB, 4);
+    auto handle = replicate(engine, 3, data);
+    EXPECT_TRUE(engine.await_quorum(handle));
+    engine.flush();
+
+    // The owner sends one copy; the head relays the second over its
+    // own NIC; the tail sends nothing. bytes_sent counts both hops.
+    EXPECT_EQ(network.bytes_sent_by(0), data.size());
+    EXPECT_EQ(network.bytes_sent_by(1), data.size());
+    EXPECT_EQ(network.bytes_sent_by(2), 0u);
+    EXPECT_EQ(engine.bytes_sent(), 2 * data.size());
+    EXPECT_EQ(engine.acks(), 2u);
+    for (ReplicaStore* store : {&head, &tail}) {
+        std::vector<std::uint8_t> read_back(data.size());
+        ASSERT_TRUE(store->read(3, 0, read_back.data(), read_back.size()));
+        EXPECT_EQ(read_back, data);
+    }
+}
+
+TEST(ReplicationChainTest, DeadHeadCostsTheTailOneAckTimeout)
+{
+    SimNetwork network(chain_fabric(0));
+    network.kill_node(1);
+    ReplicaStore head;
+    ReplicaStore tail;
+    ReplicationConfig config;
+    config.replicas = 2;
+    config.quorum = 1;
+    config.chunk_bytes = 16 * kKiB;
+    config.ack_timeout = 0.05;
+    ReplicationEngine engine(network, 0, config, {{1, &head}, {2, &tail}});
+
+    // 16 sub-chunks: if each paid the head's timeout before falling
+    // back, the two lanes would take 8 timeouts (0.4 s).
+    const auto data = pattern_bytes(256 * kKiB, 6);
+    Stopwatch watch;
+    auto handle = replicate(engine, 5, data);
+    EXPECT_TRUE(engine.await_quorum(handle));
+    EXPECT_LT(watch.elapsed(), 0.25);
+    engine.advance_watermark(handle);
+    engine.flush();
+
+    EXPECT_EQ(engine.degraded(), 0u);
+    EXPECT_EQ(engine.acks(), 1u);
+    // The tail received every byte straight from the owner.
+    EXPECT_EQ(network.bytes_sent_by(0), data.size());
+    EXPECT_FALSE(head.newest_complete().has_value());
+    const auto newest = tail.newest_complete();
+    ASSERT_TRUE(newest.has_value());
+    EXPECT_EQ(newest->counter, 5u);
+    EXPECT_EQ(tail.watermark(), 5u);
+    EXPECT_EQ(head.watermark(), 0u);
+}
+
+TEST(ReplicationChainTest, DroppedHeadHopStillCompletesTheTail)
+{
+    SimNetwork network(chain_fabric(0));
+    // The first transfer is always a head hop: relays start only after
+    // one lands.
+    auto injector = std::make_shared<FaultInjector>(
+        13, FaultPlan::parse("net.transfer:drop@nth=1,limit=1"));
+    network.set_fault_injector(injector);
+    ReplicaStore head;
+    ReplicaStore tail;
+    ReplicationConfig config;
+    config.replicas = 2;
+    config.quorum = 1;
+    config.chunk_bytes = 16 * kKiB;
+    config.ack_timeout = 0.05;
+    ReplicationEngine engine(network, 0, config, {{1, &head}, {2, &tail}});
+
+    const auto data = pattern_bytes(256 * kKiB, 8);
+    auto handle = replicate(engine, 7, data);
+    EXPECT_TRUE(engine.await_quorum(handle));
+    engine.advance_watermark(handle);
+    engine.flush();
+
+    EXPECT_EQ(injector->injected(), 1u);
+    EXPECT_EQ(engine.degraded(), 0u);
+    EXPECT_EQ(engine.acks(), 1u);
+    EXPECT_FALSE(head.newest_complete().has_value());
+    std::vector<std::uint8_t> read_back(data.size());
+    ASSERT_TRUE(tail.read(7, 0, read_back.data(), read_back.size()));
+    EXPECT_EQ(read_back, data);
+    EXPECT_EQ(tail.watermark(), 7u);
+}
+
+TEST(ReplicationChainTest, TailWatermarkAdvancesWhenItsSealLandsLate)
+{
+    SimNetwork network(chain_fabric(0));
+    network.set_node_bandwidth(2, 1e6);  // the tail takes ~0.13 s
+    ReplicaStore head;
+    ReplicaStore tail;
+    ReplicationConfig config;
+    config.replicas = 2;
+    config.quorum = 1;
+    config.chunk_bytes = 32 * kKiB;
+    config.ack_timeout = 2.0;
+    ReplicationEngine engine(network, 0, config, {{1, &head}, {2, &tail}});
+
+    const auto data = pattern_bytes(128 * kKiB, 10);
+    auto handle = replicate(engine, 9, data);
+    EXPECT_TRUE(engine.await_quorum(handle));  // the head's ack
+    engine.advance_watermark(handle);
+    EXPECT_EQ(head.watermark(), 9u);
+    // The tail's seal has not landed: its advance must wait for it.
+    EXPECT_FALSE(tail.newest_complete().has_value());
+    engine.flush();
+    EXPECT_EQ(engine.acks(), 2u);
+    EXPECT_EQ(tail.watermark(), 9u);
+}
+
+TEST(ReplicationChainTest, PipelinedPeersHoldAtMostTwoVersions)
+{
+    constexpr Bytes kState = 256 * kKiB;
+    SimNetwork network(chain_fabric(50e6));
+    ReplicaStore head;
+    ReplicaStore tail;
+    ReplicationConfig rconfig;
+    rconfig.replicas = 2;
+    rconfig.quorum = 1;
+    rconfig.chunk_bytes = 16 * kKiB;
+    rconfig.ack_timeout = 1.0;
+    ReplicationEngine engine(network, 0, rconfig, {{1, &head}, {2, &tail}});
+
+    MemStorage device(SlotStore::required_size(3, kState));
+    GpuConfig gpu_config;
+    gpu_config.memory_bytes = 2 * kMiB;
+    gpu_config.pcie_bytes_per_sec = 0;
+    SimGpu gpu(gpu_config);
+    TrainingState state(gpu, kState);
+    PCcheckConfig config;
+    config.concurrent_checkpoints = 2;
+    config.chunk_bytes = 64 * kKiB;
+
+    // Sample both peers while checkpoints overlap on the fabric.
+    std::atomic<bool> stop{false};
+    std::atomic<std::size_t> most{0};
+    std::thread sampler([&] {
+        while (!stop.load()) {
+            for (const ReplicaStore* store : {&head, &tail}) {
+                const std::size_t held = store->stats().versions;
+                if (held > most.load()) {
+                    most.store(held);
+                }
+            }
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+        }
+    });
+    std::uint64_t completed = 0;
+    {
+        PCcheckCheckpointer checkpointer(state, device, config);
+        checkpointer.attach_replication(&engine);
+        TrainingLoop loop(gpu, state,
+                          scale_model(model_by_name("vgg16"),
+                                      ScaleFactors{600.0, 20000.0}));
+        loop.run(16, 1, checkpointer);
+        engine.flush();
+        completed = checkpointer.stats().completed;
+    }
+    stop.store(true);
+    sampler.join();
+
+    EXPECT_GE(completed, 4u);
+    EXPECT_EQ(engine.degraded(), 0u);
+    EXPECT_GE(most.load(), 1u);
+    EXPECT_LE(most.load(), 2u);
 }
 
 TEST(RemoteRecoveryTest, PicksNewestCounterThenFastestPath)
