@@ -6,40 +6,59 @@
 
 #include "psan/psan.h"
 #include "psan/psan_storage.h"
+#include "storage/sealed.h"
 #include "util/check.h"
 #include "util/crc32.h"
 
 namespace pccheck {
 namespace {
 
-constexpr std::uint64_t kMagic = 0x50434348454B3031ULL;  // "PCCHEK01"
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
 constexpr Bytes kHeaderOffset = 0;
 constexpr Bytes kRecordBase = 64;
 constexpr Bytes kRecordStride = 64;
+/** The header's second copy, in the line after the pointer records. */
+constexpr Bytes kBackupHeaderOffset = kRecordBase + 2 * kRecordStride;
 constexpr Bytes kDataAlign = 4096;
 
-/** Raw on-device header (64 bytes). */
+/** Raw on-device header (64 bytes, sealed; storage/sealed.h). */
 struct DeviceHeader {
+    /** "PCCHEK01" */
+    static constexpr std::uint64_t kMagic = 0x50434348454B3031ULL;
     std::uint64_t magic;
     std::uint32_t version;
     std::uint32_t slot_count;
     std::uint64_t slot_size;
     std::uint64_t data_offset;
-    /** Delta-log region (docs/DELTA_LOG.md); both zero on devices
-     *  formatted without one — including all pre-delta-tier devices,
-     *  whose pad bytes were written as zero, so version stays 1. */
+    /** Delta-log region (docs/DELTA_LOG.md); delta_len 0 = none. */
     std::uint64_t delta_offset;
     std::uint64_t delta_len;
-    /** Quarantined-slot bitmap (bit i = slot i corrupt). Devices
-     *  formatted before the quarantine tier wrote these pad bytes as
-     *  zero — an empty quarantine — so version stays 1. */
+    /** Quarantined-slot bitmap (bit i = slot i corrupt). */
     std::uint64_t quarantine_bits;
-    std::uint8_t pad[8];
+    std::uint8_t pad[4];
+    std::uint32_t crc;
+
+    /** @p room is the device size: the slot arena and the delta
+     *  region must lie inside it, checked without overflow. */
+    bool fits(Bytes room) const
+    {
+        if (version != kVersion || slot_count < 2 || slot_size == 0 ||
+            data_offset != kDataAlign || room < kDataAlign ||
+            slot_size > room - kDataAlign ||
+            align_up(slot_size, kDataAlign) >
+                (room - kDataAlign) / slot_count) {
+            return false;  // the slots would run past the device end
+        }
+        const Bytes slots_end =
+            kDataAlign + align_up(slot_size, kDataAlign) * slot_count;
+        return delta_len == 0 ||
+               (delta_offset >= slots_end &&
+                range_fits(delta_offset, delta_len, room));
+    }
 };
 static_assert(sizeof(DeviceHeader) == 64);
 
-/** Raw on-device pointer record (64 bytes, checksum-protected). */
+/** Raw on-device pointer record (64 bytes, sealed). */
 struct RawRecord {
     std::uint64_t counter;
     std::uint32_t slot;
@@ -47,15 +66,12 @@ struct RawRecord {
     std::uint64_t data_len;
     std::uint64_t iteration;
     std::uint8_t pad[28];
-    std::uint32_t record_checksum;  ///< CRC of all preceding fields
+    std::uint32_t crc;
+
+    /** @p room is the slot size. */
+    bool fits(Bytes room) const { return data_len <= room; }
 };
 static_assert(sizeof(RawRecord) == 64);
-
-std::uint32_t
-record_crc(const RawRecord& rec)
-{
-    return crc32c(&rec, offsetof(RawRecord, record_checksum));
-}
 
 }  // namespace
 
@@ -107,75 +123,46 @@ SlotStore::format(StorageDevice& device, std::uint32_t slot_count,
         // checkpoint/frame protection before overwriting it.
         psan->on_format();
     }
-    DeviceHeader header{};
-    header.magic = kMagic;
-    header.version = kVersion;
-    header.slot_count = slot_count;
-    header.slot_size = slot_size;
-    header.data_offset = kDataAlign;
-    header.delta_offset = delta_offset;
-    header.delta_len = delta_bytes;
     // Formatting is a setup path: a device that cannot even hold its
     // header is unusable, so errors escalate instead of retrying.
-    PCCHECK_MUST(device.write(kHeaderOffset, &header, sizeof(header)));
-
-    // Invalidate both pointer records.
-    RawRecord empty{};
-    empty.record_checksum = ~record_crc(empty);  // deliberately bad
-    PCCHECK_MUST(device.write(record_offset(0), &empty, sizeof(empty)));
-    PCCHECK_MUST(device.write(record_offset(1), &empty, sizeof(empty)));
-
-    // Only the header and the two pointer records were written; the
-    // rest of the first page is untouched, so persisting the full
-    // kDataAlign would flush 61 clean cache lines per format on PMEM
-    // (flagged by psan rule V4).
-    PCCHECK_MUST(device.persist(0, kRecordBase + 2 * kRecordStride));
-    PCCHECK_MUST(device.fence());
+    // Invalidate both pointer records, then write the header pair with
+    // an empty quarantine; its first fence orders the records too.
+    RawRecord dead{};
+    seal(dead);
+    dead.crc = ~dead.crc;  // deliberately bad
+    PCCHECK_MUST(device.write(record_offset(0), &dead, sizeof(dead)));
+    PCCHECK_MUST(device.write(record_offset(1), &dead, sizeof(dead)));
+    PCCHECK_MUST(device.persist(record_offset(0), 2 * kRecordStride));
+    SlotStore store(device, slot_count, slot_size, delta_offset,
+                    delta_bytes, /*quarantine_bits=*/0);
+    PCCHECK_MUST(store.write_quarantine_bits(0));
     if (delta_bytes > 0) {
         // Kill any previous delta chain: zero the first frame header
         // so replay of the fresh layout stops immediately.
         const std::uint8_t dead_frame[64] = {};
-        PCCHECK_MUST(
-            device.write(delta_offset, dead_frame, sizeof(dead_frame)));
-        PCCHECK_MUST(device.persist(delta_offset, sizeof(dead_frame)));
-        PCCHECK_MUST(device.fence());
+        PCCHECK_MUST(write_durably(device, delta_offset, dead_frame,
+                                   sizeof(dead_frame)));
     }
-    return SlotStore(device, slot_count, slot_size, delta_offset,
-                     delta_bytes, /*quarantine_bits=*/0);
+    return store;
 }
 
 SlotStore
 SlotStore::open(StorageDevice& device)
 {
-    DeviceHeader header{};
-    if (device.size() < sizeof(header)) {
-        fatal("SlotStore: device smaller than header");
+    // Every header update lands on the primary copy first, so the
+    // backup is never the newer one: the first copy that decodes wins.
+    for (const Bytes offset : {kHeaderOffset, kBackupHeaderOffset}) {
+        const auto header =
+            read_sealed<DeviceHeader>(device, offset, device.size());
+        if (header.has_value()) {
+            return SlotStore(device, header->slot_count, header->slot_size,
+                             header->delta_len > 0 ? header->delta_offset
+                                                   : 0,
+                             header->delta_len, header->quarantine_bits);
+        }
     }
-    const StorageStatus header_read =
-        device.read(kHeaderOffset, &header, sizeof(header));
-    if (!header_read.ok()) {
-        fatal(std::string("SlotStore: header unreadable (") +
-              header_read.context() + ")");
-    }
-    if (header.magic != kMagic) {
-        fatal("SlotStore: bad magic (device not formatted)");
-    }
-    if (header.version != kVersion) {
-        fatal("SlotStore: unsupported version");
-    }
-    if (device.size() <
-        required_size(header.slot_count, header.slot_size)) {
-        fatal("SlotStore: header inconsistent with device size");
-    }
-    if (header.delta_len > 0 &&
-        (header.delta_offset <
-             required_size(header.slot_count, header.slot_size) ||
-         header.delta_offset + header.delta_len > device.size())) {
-        fatal("SlotStore: delta region inconsistent with device size");
-    }
-    return SlotStore(device, header.slot_count, header.slot_size,
-                     header.delta_len > 0 ? header.delta_offset : 0,
-                     header.delta_len, header.quarantine_bits);
+    fatal("SlotStore: no valid header copy (device not formatted, both "
+          "copies corrupt, or geometry inconsistent with device size)");
 }
 
 Bytes
@@ -190,7 +177,7 @@ StorageStatus
 SlotStore::write_slot(std::uint32_t slot, Bytes offset, const void* src,
                       Bytes len)
 {
-    PCCHECK_CHECK_MSG(offset + len <= slot_size_,
+    PCCHECK_CHECK_MSG(range_fits(offset, len, slot_size_),
                       "slot write overflow off=" << offset << " len=" << len);
     return device_->write(slot_offset(slot) + offset, src, len);
 }
@@ -198,7 +185,7 @@ SlotStore::write_slot(std::uint32_t slot, Bytes offset, const void* src,
 StorageStatus
 SlotStore::persist_slot_range(std::uint32_t slot, Bytes offset, Bytes len)
 {
-    PCCHECK_CHECK(offset + len <= slot_size_);
+    PCCHECK_CHECK(range_fits(offset, len, slot_size_));
     return device_->persist(slot_offset(slot) + offset, len);
 }
 
@@ -206,7 +193,7 @@ StorageStatus
 SlotStore::read_slot(std::uint32_t slot, Bytes offset, void* dst,
                      Bytes len) const
 {
-    PCCHECK_CHECK(offset + len <= slot_size_);
+    PCCHECK_CHECK(range_fits(offset, len, slot_size_));
     return device_->read(slot_offset(slot) + offset, dst, len);
 }
 
@@ -249,15 +236,10 @@ SlotStore::publish_pointer(const CheckpointPointer& ptr)
     rec.data_crc = ptr.data_crc;
     rec.data_len = ptr.data_len;
     rec.iteration = ptr.iteration;
-    rec.record_checksum = record_crc(rec);
+    seal(rec);
     const Bytes off = record_offset(static_cast<int>(ptr.counter % 2));
-    StorageStatus status = device_->write(off, &rec, sizeof(rec));
-    if (status.ok()) {
-        status = device_->persist(off, sizeof(rec));
-    }
-    if (status.ok()) {
-        status = device_->fence();
-    }
+    const StorageStatus status =
+        write_durably(*device_, off, &rec, sizeof(rec));
     if (status.ok() && psan_ != nullptr) {
         // V2 on the record lines themselves, then move lost-update
         // protection to this checkpoint's payload.
@@ -294,22 +276,17 @@ SlotStore::candidate_pointers(bool include_quarantined) const
 {
     std::vector<CheckpointPointer> candidates;
     for (int index = 0; index < 2; ++index) {
-        RawRecord rec{};
-        if (!device_->read(record_offset(index), &rec, sizeof(rec)).ok()) {
-            continue;  // unreadable record lines: same as torn
+        const auto rec = read_sealed<RawRecord>(
+            *device_, record_offset(index), slot_size_);
+        if (!rec.has_value() || rec->slot >= slot_count_) {
+            continue;  // unreadable, torn, never written, or out of range
         }
-        if (rec.record_checksum != record_crc(rec)) {
-            continue;
-        }
-        if (rec.slot >= slot_count_ || rec.data_len > slot_size_) {
-            continue;
-        }
-        if (!include_quarantined && is_quarantined(rec.slot)) {
+        if (!include_quarantined && is_quarantined(rec->slot)) {
             continue;  // known-corrupt payload awaiting repair
         }
         candidates.push_back(CheckpointPointer{
-            rec.counter, rec.slot, rec.data_len, rec.iteration,
-            rec.data_crc});
+            rec->counter, rec->slot, rec->data_len, rec->iteration,
+            rec->data_crc});
     }
     std::sort(candidates.begin(), candidates.end(),
               [](const CheckpointPointer& a, const CheckpointPointer& b) {
@@ -321,51 +298,40 @@ SlotStore::candidate_pointers(bool include_quarantined) const
 std::optional<CheckpointPointer>
 SlotStore::recover_pointer(bool validate_data) const
 {
-    std::optional<CheckpointPointer> best;
-    for (int index = 0; index < 2; ++index) {
-        RawRecord rec{};
-        if (!device_->read(record_offset(index), &rec, sizeof(rec)).ok()) {
-            continue;  // unreadable record lines: same as torn
-        }
-        if (rec.record_checksum != record_crc(rec)) {
-            continue;  // torn or never written
-        }
-        if (rec.slot >= slot_count_ || rec.data_len > slot_size_) {
-            continue;  // stale garbage that happened to checksum? reject
-        }
-        if (is_quarantined(rec.slot)) {
-            continue;  // known-corrupt payload awaiting repair
-        }
-        CheckpointPointer ptr{rec.counter, rec.slot, rec.data_len,
-                              rec.iteration, rec.data_crc};
+    for (const CheckpointPointer& ptr : candidate_pointers()) {
         // data_crc == 0 marks "checksum disabled" (PCcheckConfig::
         // compute_crc = false); skip the data validation then.
-        if (validate_data && ptr.data_crc != 0) {
-            std::vector<std::uint8_t> data(ptr.data_len);
-            if (!read_slot(ptr.slot, 0, data.data(), ptr.data_len).ok()) {
-                continue;  // unreadable payload: treat like a torn slot
-            }
-            if (crc32c(data.data(), data.size()) != ptr.data_crc) {
-                continue;  // slot was recycled under this stale record
-            }
+        if (!validate_data || ptr.data_crc == 0) {
+            return ptr;
         }
-        if (!best.has_value() || ptr.counter > best->counter) {
-            best = ptr;
+        std::vector<std::uint8_t> data(ptr.data_len);
+        if (read_slot(ptr.slot, 0, data.data(), ptr.data_len).ok() &&
+            crc32c(data.data(), data.size()) == ptr.data_crc) {
+            return ptr;
         }
+        // Unreadable payload, or a slot recycled under this stale
+        // record: fall back to the older record.
     }
-    return best;
+    return std::nullopt;
 }
 
 StorageStatus
 SlotStore::write_quarantine_bits(std::uint64_t bits)
 {
-    const Bytes off = kHeaderOffset + offsetof(DeviceHeader, quarantine_bits);
-    StorageStatus status = device_->write(off, &bits, sizeof(bits));
+    DeviceHeader header{};
+    header.version = kVersion;
+    header.slot_count = slot_count_;
+    header.slot_size = slot_size_;
+    header.data_offset = kDataAlign;
+    header.delta_offset = delta_offset_;
+    header.delta_len = delta_bytes_;
+    header.quarantine_bits = bits;
+    seal(header);
+    StorageStatus status =
+        write_durably(*device_, kHeaderOffset, &header, sizeof(header));
     if (status.ok()) {
-        status = device_->persist(off, sizeof(bits));
-    }
-    if (status.ok()) {
-        status = device_->fence();
+        status = write_durably(*device_, kBackupHeaderOffset, &header,
+                               sizeof(header));
     }
     return status;
 }
@@ -481,21 +447,15 @@ SlotStore::invalidate_record(std::uint64_t counter)
     if (!status.ok()) {
         return status;
     }
-    if (rec.record_checksum != record_crc(rec) || rec.counter != counter) {
+    if (!unseal<RawRecord>(&rec, slot_size_).has_value() ||
+        rec.counter != counter) {
         // Already torn, or a different publish owns this parity slot:
         // nothing stale left to retire.
         return StorageStatus::success();
     }
     psan::ScopeLabel psan_label("slot_store.invalidate_record");
-    rec.record_checksum = ~record_crc(rec);  // deliberately bad
-    status = device_->write(off, &rec, sizeof(rec));
-    if (status.ok()) {
-        status = device_->persist(off, sizeof(rec));
-    }
-    if (status.ok()) {
-        status = device_->fence();
-    }
-    return status;
+    rec.crc = ~rec.crc;  // deliberately bad
+    return write_durably(*device_, off, &rec, sizeof(rec));
 }
 
 StorageStatus
@@ -506,13 +466,8 @@ SlotStore::repair_slot(std::uint32_t slot, const void* src, Bytes len)
     psan::ScopeLabel psan_label("slot_store.repair");
     // Full persist contract: the salvaged bytes must be durable before
     // anyone trusts the slot again (release_quarantine / publish).
-    StorageStatus status = device_->write(slot_offset(slot), src, len);
-    if (status.ok()) {
-        status = device_->persist(slot_offset(slot), len);
-    }
-    if (status.ok()) {
-        status = device_->fence();
-    }
+    const StorageStatus status =
+        write_durably(*device_, slot_offset(slot), src, len);
     if (status.ok() && psan_ != nullptr) {
         psan_->on_repair_durable(slot_offset(slot), len);
     }

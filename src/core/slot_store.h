@@ -7,15 +7,18 @@
  *
  * A storage device is formatted as:
  *
- *   [ DeviceHeader | PointerRecord[2] | slot 0 | ... | slot N | delta ]
+ *   page 0: [ DeviceHeader | PointerRecord[2] | DeviceHeader copy | 0… ]
+ *   then:   [ slot 0 | ... | slot N | delta ]
  *
  * giving N+1 slots of slot_size bytes each — §3.2: "(N+1)·m to allow N
  * concurrent checkpoints and guarantee at least one valid checkpoint
  * at any time" — optionally followed by the delta-log region of the
  * incremental checkpoint tier (docs/DELTA_LOG.md). The header records
- * the region's offset and length; a zero length (including every
- * device formatted before the delta tier existed) means no delta
- * region.
+ * the slot geometry, the region's offset and length (zero length = no
+ * delta region) and the quarantine bitmap. Header and records are
+ * sealed records (storage/sealed.h). The header is kept twice: format
+ * and every quarantine update make the primary durable, then the
+ * backup, and open() takes the first copy that decodes.
  *
  * The persistent CHECK_ADDR is represented by TWO alternating
  * PointerRecords protected by record checksums (superblock-pair
@@ -64,7 +67,8 @@ class SlotStore {
 
     /**
      * Open an already formatted device (recovery path). Throws
-     * FatalError if the header is missing or corrupt.
+     * FatalError if neither header copy decodes: missing, corrupt, or
+     * naming a geometry the device cannot hold.
      *
      * The handle's quarantine cache starts from the header bitmap and
      * is shared only by copies of this handle, not by other open()s.
@@ -161,11 +165,12 @@ class SlotStore {
     // A slot whose data fails CRC or whose media is unreadable is
     // QUARANTINED: skipped by recovery, never handed out or recycled
     // by the commit protocol, until a repair write restores verified
-    // bytes. The quarantine set is a bitmap persisted in the device
-    // header (write+persist+fence), so it survives restart and every
-    // SlotStore opened on the device agrees after reopen. Slots >= 64
-    // cannot be quarantined (bitmap width); quarantine_slot reports
-    // a permanent error for them instead of silently succeeding.
+    // bytes. The quarantine set is a bitmap persisted in both device
+    // header copies (write+persist+fence each), so it survives restart
+    // and a single corrupt copy, and every SlotStore opened on the
+    // device agrees after reopen. Slots >= 64 cannot be quarantined
+    // (bitmap width); quarantine_slot reports a permanent error for
+    // them instead of silently succeeding.
 
     /** Durably mark @p slot corrupt. Idempotent. Lifts the psan
      *  lost-update protection on its payload so a salvage write is
@@ -252,9 +257,10 @@ class SlotStore {
         std::uint64_t bits PCCHECK_GUARDED_BY(mu);
     };
 
-    /** Durably write @p bits into the header bitmap field. The caller
-     *  must hold the quarantine writer turnstile (writing == true),
-     *  NOT quarantine_->mu — the I/O runs outside the lock. */
+    /** Durably write both header copies, primary then backup, with
+     *  @p bits as the quarantine bitmap. Past format, the caller must
+     *  hold the quarantine writer turnstile (writing == true), NOT
+     *  quarantine_->mu — the I/O runs outside the lock. */
     StorageStatus write_quarantine_bits(std::uint64_t bits);
 
     StorageDevice* device_;

@@ -5,17 +5,71 @@
 #include "delta/frame_format.h"
 #include "psan/psan.h"
 #include "psan/psan_storage.h"
+#include "storage/sealed.h"
 #include "util/check.h"
 #include "util/crc32.h"
 
 namespace pccheck {
 
-using delta_wire::header_crc;
-using delta_wire::kFrameMagic;
 using delta_wire::RawChunkRef;
 using delta_wire::RawFrameHeader;
 
 static_assert(sizeof(RawFrameHeader) == DeltaLog::kFrameAlign);
+
+namespace {
+
+/**
+ * The one frame walk: yield each frame of the chain on (@p base_counter,
+ * @p base_iteration) to @p visit(frame, payload) until it returns false
+ * or the chain ends: at a torn or unreadable header (an unsealed frame,
+ * an old epoch's garbage), a frame out of sequence, on another base,
+ * not newer than its predecessor (an older timeline after salvage) or
+ * too big for the region; or just after a frame with !payload_ok.
+ */
+template <typename Visit>
+void
+walk_chain(const StorageDevice& device, const DeltaRegion& region,
+           std::uint64_t base_counter, std::uint64_t base_iteration,
+           Visit&& visit)
+{
+    if (region.bytes == 0) {
+        return;
+    }
+    PCCHECK_CHECK(range_fits(region.offset, region.bytes, device.size()));
+    std::uint64_t last_iteration = base_iteration;
+    std::vector<std::uint8_t> payload;
+    for (Bytes head = 0, seq = 1;
+         head + sizeof(RawFrameHeader) <= region.bytes; ++seq) {
+        const auto hdr = read_sealed<RawFrameHeader>(
+            device, region.offset + head, region.bytes - head);
+        if (!hdr.has_value() || hdr->seq != seq ||
+            hdr->base_counter != base_counter ||
+            hdr->iteration <= last_iteration) {
+            break;
+        }
+        payload.resize(hdr->payload_len);
+        const bool payload_ok =
+            (payload.empty() ||
+             device
+                 .read(region.offset + head + sizeof(RawFrameHeader),
+                       payload.data(), payload.size())
+                 .ok()) &&
+            crc32c(payload.data(), payload.size()) == hdr->payload_crc;
+        const DeltaFrameScanEntry frame{
+            head,
+            DeltaFrameInfo{hdr->seq, hdr->base_counter, hdr->iteration,
+                           hdr->chunk_count, hdr->payload_len},
+            payload_ok};
+        if (!visit(frame, payload) || !payload_ok) {
+            break;
+        }
+        last_iteration = hdr->iteration;
+        head += align_up(sizeof(RawFrameHeader) + hdr->payload_len,
+                         DeltaLog::kFrameAlign);
+    }
+}
+
+}  // namespace
 
 DeltaReplayStats
 delta_replay(const StorageDevice& device, const DeltaRegion& region,
@@ -25,71 +79,33 @@ delta_replay(const StorageDevice& device, const DeltaRegion& region,
 {
     DeltaReplayStats stats;
     stats.iteration = base_iteration;
-    if (region.bytes == 0) {
-        return stats;
-    }
-    PCCHECK_CHECK(region.offset + region.bytes <= device.size());
-    Bytes head = 0;
-    std::uint64_t expected_seq = 1;
-    std::uint64_t last_iteration = base_iteration;
-    std::vector<std::uint8_t> payload;
-    while (head + sizeof(RawFrameHeader) <= region.bytes) {
-        RawFrameHeader hdr{};
-        if (!device.read(region.offset + head, &hdr, sizeof(hdr)).ok()) {
-            break;  // unreadable header: chain ends here
+    std::vector<RawChunkRef> refs;
+    walk_chain(device, region, base_counter, base_iteration,
+               [&](const DeltaFrameScanEntry& frame,
+                   const std::vector<std::uint8_t>& payload) {
+        if (!frame.payload_ok) {
+            return false;  // sealed header over a torn payload
         }
-        // Stop-at-first-torn-frame rules: anything that fails here is
-        // either an unsealed in-flight frame or a previous epoch's
-        // garbage; frames past it are unreachable by construction
-        // (appends are sealed strictly in order).
-        if (hdr.magic != kFrameMagic ||
-            hdr.header_crc != header_crc(hdr)) {
-            break;  // torn or never-written header
-        }
-        if (hdr.seq != expected_seq || hdr.base_counter != base_counter) {
-            break;  // stale epoch (pre-GC frame) or replayed region
-        }
-        if (hdr.iteration <= last_iteration) {
-            break;  // older timeline re-using this base (post-salvage)
-        }
-        if (hdr.payload_len > region.bytes - head - sizeof(hdr)) {
-            break;  // payload would run off the region
-        }
-        if (static_cast<Bytes>(hdr.chunk_count) * sizeof(RawChunkRef) >
-            hdr.payload_len) {
-            break;
-        }
-        payload.resize(hdr.payload_len);
-        if (!payload.empty() &&
-            !device.read(region.offset + head + sizeof(hdr), payload.data(),
-                         payload.size())
-                 .ok()) {
-            break;  // unreadable payload: treat the frame as torn
-        }
-        if (crc32c(payload.data(), payload.size()) != hdr.payload_crc) {
-            break;  // sealed header over a torn payload
-        }
-        // Validate every chunk ref before applying any of them: a
-        // frame either applies whole or not at all.
+        // A frame applies whole or not at all: every chunk ref must lie
+        // inside the image, and the refs' data must fill the payload
+        // exactly, as encode_frame lays it out.
         const Bytes refs_len =
-            static_cast<Bytes>(hdr.chunk_count) * sizeof(RawChunkRef);
-        std::vector<RawChunkRef> refs(hdr.chunk_count);
+            Bytes{frame.info.chunk_count} * sizeof(RawChunkRef);
+        refs.resize(frame.info.chunk_count);
         if (refs_len > 0) {  // empty frames carry no refs (UBSan: the
                              // source pointer must not be null)
             std::memcpy(refs.data(), payload.data(), refs_len);
         }
         Bytes data_off = refs_len;
-        bool valid = true;
         for (const RawChunkRef& ref : refs) {
-            if (ref.len > image_len || ref.offset > image_len - ref.len ||
-                ref.len > hdr.payload_len - data_off) {
-                valid = false;
-                break;
+            if (!range_fits(ref.offset, ref.len, image_len) ||
+                !range_fits(data_off, ref.len, payload.size())) {
+                return false;
             }
             data_off += ref.len;
         }
-        if (!valid) {
-            break;
+        if (data_off != payload.size()) {
+            return false;
         }
         data_off = refs_len;
         for (const RawChunkRef& ref : refs) {
@@ -99,20 +115,10 @@ delta_replay(const StorageDevice& device, const DeltaRegion& region,
             stats.bytes_applied += ref.len;
         }
         ++stats.frames_applied;
-        stats.last_seq = hdr.seq;
-        stats.iteration = hdr.iteration;
-        last_iteration = hdr.iteration;
-        ++expected_seq;
-        head += align_up(sizeof(hdr) + hdr.payload_len,
-                         DeltaLog::kFrameAlign);
-        if (observer) {
-            DeltaFrameInfo info{hdr.seq, hdr.base_counter, hdr.iteration,
-                                hdr.chunk_count, hdr.payload_len};
-            if (!observer(info)) {
-                break;
-            }
-        }
-    }
+        stats.last_seq = frame.info.seq;
+        stats.iteration = frame.info.iteration;
+        return !observer || observer(frame.info);
+    });
     return stats;
 }
 
@@ -121,61 +127,12 @@ delta_scan(const StorageDevice& device, const DeltaRegion& region,
            std::uint64_t base_counter, std::uint64_t base_iteration)
 {
     std::vector<DeltaFrameScanEntry> entries;
-    if (region.bytes == 0) {
-        return entries;
-    }
-    PCCHECK_CHECK(region.offset + region.bytes <= device.size());
-    Bytes head = 0;
-    std::uint64_t expected_seq = 1;
-    std::uint64_t last_iteration = base_iteration;
-    std::vector<std::uint8_t> payload;
-    while (head + sizeof(RawFrameHeader) <= region.bytes) {
-        RawFrameHeader hdr{};
-        if (!device.read(region.offset + head, &hdr, sizeof(hdr)).ok()) {
-            break;  // unreadable header: chain ends here
-        }
-        // Same chain rules as delta_replay — a frame the replay would
-        // reject for structural reasons is the clean end of the chain,
-        // not rot.
-        if (hdr.magic != kFrameMagic ||
-            hdr.header_crc != header_crc(hdr)) {
-            break;
-        }
-        if (hdr.seq != expected_seq || hdr.base_counter != base_counter) {
-            break;
-        }
-        if (hdr.iteration <= last_iteration) {
-            break;
-        }
-        if (hdr.payload_len > region.bytes - head - sizeof(hdr)) {
-            break;
-        }
-        if (static_cast<Bytes>(hdr.chunk_count) * sizeof(RawChunkRef) >
-            hdr.payload_len) {
-            break;
-        }
-        DeltaFrameScanEntry entry;
-        entry.offset = head;
-        entry.info = DeltaFrameInfo{hdr.seq, hdr.base_counter,
-                                    hdr.iteration, hdr.chunk_count,
-                                    hdr.payload_len};
-        payload.resize(hdr.payload_len);
-        entry.payload_ok =
-            (payload.empty() ||
-             device
-                 .read(region.offset + head + sizeof(hdr), payload.data(),
-                       payload.size())
-                 .ok()) &&
-            crc32c(payload.data(), payload.size()) == hdr.payload_crc;
-        entries.push_back(entry);
-        if (!entry.payload_ok) {
-            break;  // latent rot: everything past it is unreachable
-        }
-        last_iteration = hdr.iteration;
-        ++expected_seq;
-        head += align_up(sizeof(hdr) + hdr.payload_len,
-                         DeltaLog::kFrameAlign);
-    }
+    walk_chain(device, region, base_counter, base_iteration,
+               [&entries](const DeltaFrameScanEntry& frame,
+                          const std::vector<std::uint8_t>&) {
+        entries.push_back(frame);
+        return true;
+    });
     return entries;
 }
 
@@ -191,14 +148,7 @@ delta_truncate(StorageDevice& device, const DeltaRegion& region,
         psan->on_delta_truncate(device_off);
     }
     const std::uint8_t dead[sizeof(RawFrameHeader)] = {};
-    StorageStatus status = device.write(device_off, dead, sizeof(dead));
-    if (status.ok()) {
-        status = device.persist(device_off, sizeof(dead));
-    }
-    if (status.ok()) {
-        status = device.fence();
-    }
-    return status;
+    return write_durably(device, device_off, dead, sizeof(dead));
 }
 
 DeltaLog::DeltaLog(StorageDevice& device, const DeltaRegion& region)
@@ -289,14 +239,7 @@ DeltaLog::reset_epoch(std::uint64_t base_counter,
 StorageStatus
 DeltaLog::seal_frame(Bytes device_off, const void* header, Bytes len)
 {
-    StorageStatus status = device_->write(device_off, header, len);
-    if (status.ok()) {
-        status = device_->persist(device_off, len);
-    }
-    if (status.ok()) {
-        status = device_->fence();
-    }
-    return status;
+    return write_durably(*device_, device_off, header, len);
 }
 
 PCCHECK_HOT_PATH StorageStatus
@@ -305,12 +248,9 @@ DeltaLog::append(std::uint64_t iteration,
                  const std::uint8_t* data)
 {
     psan::ScopeLabel psan_label("delta_log.append");
-    Bytes data_bytes = 0;
-    for (const DeltaChunk& chunk : chunks) {
-        data_bytes += chunk.len;
-    }
-    const auto chunk_count = static_cast<std::uint32_t>(chunks.size());
-    const Bytes total = frame_bytes(chunk_count, data_bytes);
+    const Bytes payload_len = delta_wire::payload_bytes(chunks);
+    const Bytes total =
+        align_up(sizeof(RawFrameHeader) + payload_len, kFrameAlign);
 
     // Appender turnstile: validate and claim under mu_, then run the
     // frame I/O outside it so readers (free_bytes, the GC's epoch
@@ -346,24 +286,12 @@ DeltaLog::append(std::uint64_t iteration,
         appending_ = true;
     }
 
-    const Bytes payload_len =
-        static_cast<Bytes>(chunk_count) * sizeof(RawChunkRef) + data_bytes;
     // pccheck-tidy: disable=hot-path-alloc -- scratch grows to the
     // high-water frame size once, then every append reuses it.
     payload_.resize(payload_len);
-    std::vector<std::uint8_t>& payload = payload_;
-    Bytes off = 0;
-    for (const DeltaChunk& chunk : chunks) {
-        const RawChunkRef ref{chunk.offset, chunk.len};
-        std::memcpy(payload.data() + off, &ref, sizeof(ref));
-        off += sizeof(ref);
-    }
-    Bytes data_off = 0;
-    for (const DeltaChunk& chunk : chunks) {
-        std::memcpy(payload.data() + off, data + data_off, chunk.len);
-        off += chunk.len;
-        data_off += chunk.len;
-    }
+    const std::vector<std::uint8_t>& payload = payload_;
+    const RawFrameHeader hdr = delta_wire::encode_frame(
+        seq, base, iteration, chunks, data, payload_.data());
 
     const Bytes frame_off = region_.offset + head;
     // Pre-seal phase, one persist + fence covering all of it: durably
@@ -400,15 +328,6 @@ DeltaLog::append(std::uint64_t iteration,
             psan_->on_seal_begin(
                 frame_off, truncate_next ? total + kFrameAlign : total);
         }
-        RawFrameHeader hdr{};
-        hdr.magic = kFrameMagic;
-        hdr.seq = seq;
-        hdr.base_counter = base;
-        hdr.iteration = iteration;
-        hdr.payload_len = payload_len;
-        hdr.chunk_count = chunk_count;
-        hdr.payload_crc = crc32c(payload.data(), payload.size());
-        hdr.header_crc = header_crc(hdr);
         // payload-durable: the pre-seal fence above ordered the chunk
         // bytes (and both dead headers) ahead of this seal.
         status = seal_frame(frame_off, &hdr, sizeof(hdr));

@@ -1,7 +1,6 @@
 #include "mc/delta_enum.h"
 
 #include <algorithm>
-#include <cstring>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -41,8 +40,8 @@ struct MiniDeltaState {
 
 /**
  * The mutated appender: seals the header (correct checksums) and acks
- * BEFORE the payload is persisted — the WAL ordering bug. Layout is
- * byte-identical to DeltaLog's so recover_to_buffer replays it.
+ * BEFORE the payload is persisted — the WAL ordering bug. The frame
+ * comes from DeltaLog's own encoder, so recover_to_buffer replays it.
  */
 void mini_append_ack_early(CrashSimStorage& device, const DeltaRegion& region,
                            MiniDeltaState* mini, std::uint64_t iteration,
@@ -50,29 +49,10 @@ void mini_append_ack_early(CrashSimStorage& device, const DeltaRegion& region,
                            const std::vector<std::uint8_t>& data,
                            OpMarks* floors, const SnapshotRecorder& recorder)
 {
-    using delta_wire::RawChunkRef;
-    using delta_wire::RawFrameHeader;
-    const auto chunk_count = static_cast<std::uint32_t>(chunks.size());
-    const Bytes payload_len =
-        static_cast<Bytes>(chunk_count) * sizeof(RawChunkRef) + data.size();
-    std::vector<std::uint8_t> payload(payload_len);
-    Bytes off = 0;
-    for (const DeltaChunk& chunk : chunks) {
-        const RawChunkRef ref{chunk.offset, chunk.len};
-        std::memcpy(payload.data() + off, &ref, sizeof(ref));
-        off += sizeof(ref);
-    }
-    std::memcpy(payload.data() + off, data.data(), data.size());
-
-    RawFrameHeader hdr{};
-    hdr.magic = delta_wire::kFrameMagic;
-    hdr.seq = mini->seq;
-    hdr.base_counter = mini->base;
-    hdr.iteration = iteration;
-    hdr.payload_len = payload_len;
-    hdr.chunk_count = chunk_count;
-    hdr.payload_crc = crc32c(payload.data(), payload.size());
-    hdr.header_crc = delta_wire::header_crc(hdr);
+    std::vector<std::uint8_t> payload(delta_wire::payload_bytes(chunks));
+    const delta_wire::RawFrameHeader hdr = delta_wire::encode_frame(
+        mini->seq, mini->base, iteration, chunks, data.data(),
+        payload.data());
 
     const Bytes frame_off = region.offset + mini->head;
     PCCHECK_MUST(device.write(frame_off, &hdr, sizeof(hdr)));
@@ -84,7 +64,8 @@ void mini_append_ack_early(CrashSimStorage& device, const DeltaRegion& region,
                               payload.size()));
     PCCHECK_MUST(device.persist(frame_off + sizeof(hdr), payload.size()));
     PCCHECK_MUST(device.fence());
-    mini->head += DeltaLog::frame_bytes(chunk_count, data.size());
+    mini->head +=
+        align_up(sizeof(hdr) + payload.size(), DeltaLog::kFrameAlign);
     ++mini->seq;
 }
 

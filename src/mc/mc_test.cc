@@ -531,8 +531,8 @@ TEST(RecoveryEnum, FaithfulSalvageSurvivesEveryCrashImage)
     // The model's planner really did fetch from the peer and salvage —
     // otherwise the enumeration covered nothing interesting.
     EXPECT_TRUE(w.salvaged);
-    EXPECT_EQ(r.crash_points, 12u);
-    EXPECT_EQ(r.images, 48u);
+    EXPECT_EQ(r.crash_points, 18u);
+    EXPECT_EQ(r.images, 58u);
 }
 
 TEST(RecoveryEnum, RepairOverLastGoodBreaksLocalFloor)
@@ -561,8 +561,8 @@ TEST(RecoveryEnum, DifferentStorageSeedsStayClean)
         const CrashImageResult r =
             enumerate(run_recovery_workload(config, RecoveryMutation::kNone));
         EXPECT_FALSE(r.violated) << "seed " << seed << ": " << r.message;
-        EXPECT_EQ(r.crash_points, 12u) << "seed " << seed;
-        EXPECT_EQ(r.images, 48u) << "seed " << seed;
+        EXPECT_EQ(r.crash_points, 18u) << "seed " << seed;
+        EXPECT_EQ(r.images, 58u) << "seed " << seed;
     }
 }
 
@@ -573,8 +573,8 @@ TEST(RecoveryEnum, MoreCheckpointsStayClean)
     const CrashImageResult r =
         enumerate(run_recovery_workload(config, RecoveryMutation::kNone));
     EXPECT_FALSE(r.violated) << r.message;
-    EXPECT_EQ(r.crash_points, 12u);
-    EXPECT_EQ(r.images, 48u);
+    EXPECT_EQ(r.crash_points, 18u);
+    EXPECT_EQ(r.images, 58u);
 }
 
 }  // namespace

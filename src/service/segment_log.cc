@@ -16,98 +16,64 @@ namespace {
 
 constexpr Bytes kAlign = SegmentLog::kRecordAlign;
 
-Bytes round_up(Bytes n, Bytes align)
-{
-    return (n + align - 1) / align * align;
-}
-
-/** Validate a segment header read from media. */
-bool segment_header_ok(const RawSegmentHeader& hdr)
-{
-    return hdr.magic == segment_wire::kSegmentMagic &&
-           hdr.header_crc == segment_wire::header_crc(hdr);
-}
-
-/** Validate a record header read from media. */
-bool record_header_ok(const RawRecordHeader& hdr)
-{
-    return hdr.magic == segment_wire::kRecordMagic &&
-           hdr.header_crc == segment_wire::header_crc(hdr);
-}
-
 }  // namespace
 
 std::vector<SegmentRecordInfo> segment_scan(const StorageDevice& device,
                                             Bytes region_offset,
                                             const SegmentLogConfig& config)
 {
+    // The codec bounds every decoded count, length and offset by the
+    // segment, so no allocation or read here can exceed one.
     std::vector<SegmentRecordInfo> records;
+    const auto add = [&](std::uint32_t seg, Bytes record_off,
+                         const auto& rec, bool sealed_segment) {
+        records.push_back(SegmentRecordInfo{
+            rec.tenant, rec.counter, rec.iteration,
+            Bytes{seg} * config.segment_bytes + record_off, rec.data_len,
+            rec.data_crc, seg, sealed_segment});
+    };
     for (std::uint32_t seg = 0; seg < config.segments; ++seg) {
-        const Bytes seg_rel = Bytes{seg} * config.segment_bytes;
-        const Bytes base = region_offset + seg_rel;
-        RawSegmentHeader hdr{};
-        if (!device.read(base, &hdr, sizeof(hdr)).ok() ||
-            !segment_header_ok(hdr)) {
+        const Bytes base = region_offset + Bytes{seg} * config.segment_bytes;
+        const auto hdr = read_sealed<RawSegmentHeader>(device, base,
+                                                       config.segment_bytes);
+        if (!hdr.has_value()) {
             continue;  // unformatted or torn segment: nothing durable
         }
-        if (hdr.sealed != 0) {
+        if (hdr->sealed != 0) {
             // Sealed: the manifest is the index. A torn manifest
             // demotes the segment to a chain walk below.
-            const Bytes blob_len = Bytes{hdr.record_count} *
+            const Bytes blob_len = Bytes{hdr->record_count} *
                                    sizeof(RawManifestEntry);
-            std::vector<RawManifestEntry> entries(hdr.record_count);
-            if (hdr.manifest_off + blob_len <= config.segment_bytes &&
-                device.read(base + hdr.manifest_off, entries.data(),
-                            blob_len)
-                    .ok() &&
-                crc32c(entries.data(), blob_len) == hdr.manifest_crc) {
-                bool all_ok = true;
+            std::vector<RawManifestEntry> entries(hdr->record_count);
+            bool all_ok =
+                (blob_len == 0 ||
+                 device.read(base + hdr->manifest_off, entries.data(),
+                             blob_len)
+                     .ok()) &&
+                crc32c(entries.data(), blob_len) == hdr->manifest_crc;
+            for (std::size_t i = 0; all_ok && i < entries.size(); ++i) {
+                all_ok = unseal<RawManifestEntry>(&entries[i],
+                                                  config.segment_bytes)
+                             .has_value();
+            }
+            if (all_ok) {
                 for (const RawManifestEntry& entry : entries) {
-                    if (entry.entry_crc != segment_wire::entry_crc(entry)) {
-                        all_ok = false;
-                        break;
-                    }
+                    add(seg, entry.record_off, entry, true);
                 }
-                if (all_ok) {
-                    for (const RawManifestEntry& entry : entries) {
-                        SegmentRecordInfo info;
-                        info.tenant = entry.tenant;
-                        info.counter = entry.counter;
-                        info.iteration = entry.iteration;
-                        info.record_offset = seg_rel + entry.record_off;
-                        info.data_len = entry.data_len;
-                        info.data_crc = entry.data_crc;
-                        info.segment = seg;
-                        info.sealed_segment = true;
-                        records.push_back(info);
-                    }
-                    continue;
-                }
+                continue;
             }
         }
         // Open segment (or sealed with a rotten manifest): walk the
         // record chain; the first dead/torn header is the clean end.
         Bytes off = sizeof(RawSegmentHeader);
         while (off + sizeof(RawRecordHeader) <= config.segment_bytes) {
-            RawRecordHeader rec{};
-            if (!device.read(base + off, &rec, sizeof(rec)).ok() ||
-                !record_header_ok(rec)) {
+            const auto rec = read_sealed<RawRecordHeader>(
+                device, base + off, config.segment_bytes - off);
+            if (!rec.has_value()) {
                 break;
             }
-            if (off + sizeof(rec) + rec.data_len > config.segment_bytes) {
-                break;  // insane length: treat as torn
-            }
-            SegmentRecordInfo info;
-            info.tenant = rec.tenant;
-            info.counter = rec.counter;
-            info.iteration = rec.iteration;
-            info.record_offset = seg_rel + off;
-            info.data_len = rec.data_len;
-            info.data_crc = rec.data_crc;
-            info.segment = seg;
-            info.sealed_segment = false;
-            records.push_back(info);
-            off += round_up(sizeof(rec) + rec.data_len, kAlign);
+            add(seg, off, *rec, false);
+            off += align_up(sizeof(RawRecordHeader) + rec->data_len, kAlign);
         }
     }
     return records;
@@ -163,7 +129,7 @@ Bytes SegmentLog::required_size(const SegmentLogConfig& config)
 
 Bytes SegmentLog::record_bytes(Bytes data_len)
 {
-    return round_up(sizeof(RawRecordHeader) + data_len, kAlign);
+    return align_up(sizeof(RawRecordHeader) + data_len, kAlign);
 }
 
 StorageStatus SegmentLog::format()
@@ -171,10 +137,9 @@ StorageStatus SegmentLog::format()
     const RawRecordHeader dead{};  // zeroed: fails the magic check
     for (std::uint32_t seg = 0; seg < config_.segments; ++seg) {
         RawSegmentHeader hdr{};
-        hdr.magic = segment_wire::kSegmentMagic;
         hdr.epoch = 1;
         hdr.index = seg;
-        hdr.header_crc = segment_wire::header_crc(hdr);
+        seal(hdr);
         const Bytes base = segment_base(seg);
         StorageStatus status = device_->write(base, &hdr, sizeof(hdr));
         if (!status.ok()) {
@@ -390,13 +355,12 @@ StorageStatus SegmentLog::write_records(
     for (std::size_t i = first; i < last && status.ok(); ++i) {
         const SegmentRecord& record = *records[i];
         RawRecordHeader hdr{};
-        hdr.magic = segment_wire::kRecordMagic;
         hdr.tenant = record.tenant;
         hdr.counter = record.counter;
         hdr.iteration = record.iteration;
         hdr.data_len = record.data_len;
         hdr.data_crc = crc32c(record.data, record.data_len);
-        hdr.header_crc = segment_wire::header_crc(hdr);
+        seal(hdr);
         if (i == first) {
             first_header = hdr;
         } else {
@@ -426,14 +390,8 @@ StorageStatus SegmentLog::write_records(
     // Phase 2: publish. The first record's header links the whole
     // sub-batch into the scan chain atomically.
     if (status.ok()) {
-        status = device_->write(base + batch_start, &first_header,
-                                sizeof(first_header));
-    }
-    if (status.ok()) {
-        status = device_->persist(base + batch_start, sizeof(first_header));
-    }
-    if (status.ok()) {
-        status = device_->fence();
+        status = write_durably(*device_, base + batch_start, &first_header,
+                               sizeof(first_header));
     }
     if (!status.ok()) {
         // The chain still ends where it did. Leave the cursor so a
@@ -481,7 +439,7 @@ StorageStatus SegmentLog::seal_active()
         entry.record_off = record.record_off;
         entry.data_len = record.data_len;
         entry.data_crc = record.data_crc;
-        entry.entry_crc = segment_wire::entry_crc(entry);
+        seal(entry);
         entries.push_back(entry);
     }
     const Bytes blob_len = Bytes{entries.size()} *
@@ -503,14 +461,13 @@ StorageStatus SegmentLog::seal_active()
         return status;
     }
     RawSegmentHeader hdr{};
-    hdr.magic = segment_wire::kSegmentMagic;
     hdr.epoch = epochs_[active_];
     hdr.index = active_;
     hdr.sealed = 1;
     hdr.manifest_off = manifest_off;
     hdr.record_count = static_cast<std::uint32_t>(entries.size());
     hdr.manifest_crc = crc32c(entries.data(), blob_len);
-    hdr.header_crc = segment_wire::header_crc(hdr);
+    seal(hdr);
     status = publish_segment_header(base, hdr);
     if (!status.ok()) {
         return status;
@@ -555,10 +512,9 @@ StorageStatus SegmentLog::advance_active()
             return status;
         }
         RawSegmentHeader hdr{};
-        hdr.magic = segment_wire::kSegmentMagic;
         hdr.epoch = epochs_[next] + 1;
         hdr.index = next;
-        hdr.header_crc = segment_wire::header_crc(hdr);
+        seal(hdr);
         status = publish_segment_header(base, hdr);
         if (!status.ok()) {
             return status;
@@ -650,14 +606,7 @@ StorageStatus SegmentLog::relocate()
 StorageStatus SegmentLog::publish_segment_header(
     Bytes device_off, const RawSegmentHeader& hdr)
 {
-    StorageStatus status = device_->write(device_off, &hdr, sizeof(hdr));
-    if (status.ok()) {
-        status = device_->persist(device_off, sizeof(hdr));
-    }
-    if (status.ok()) {
-        status = device_->fence();
-    }
-    return status;
+    return write_durably(*device_, device_off, &hdr, sizeof(hdr));
 }
 
 void SegmentLog::set_reclaim_gate(

@@ -51,6 +51,7 @@
 #include <vector>
 
 #include "storage/device.h"
+#include "storage/sealed.h"
 #include "util/annotations.h"
 #include "util/bytes.h"
 #include "util/crc32.h"
@@ -64,8 +65,9 @@ constexpr std::uint64_t kSegmentMagic = 0x5043534547480031ULL;
 /** Record header magic ("PCSEGR.1"). */
 constexpr std::uint64_t kRecordMagic = 0x5043534547520031ULL;
 
-/** Raw on-device segment header (64 bytes, checksum-protected). */
+/** Raw on-device segment header (64 bytes, sealed; storage/sealed.h). */
 struct RawSegmentHeader {
+    static constexpr std::uint64_t kMagic = kSegmentMagic;
     std::uint64_t magic;
     std::uint64_t epoch;         ///< bumped on every recycle (starts 1)
     std::uint32_t index;         ///< position in the ring
@@ -74,12 +76,16 @@ struct RawSegmentHeader {
     std::uint32_t record_count;  ///< manifest entries (sealed only)
     std::uint32_t manifest_crc;  ///< CRC-32C of the manifest blob
     std::uint8_t pad[20];
-    std::uint32_t header_crc;    ///< CRC of all preceding fields
+    std::uint32_t crc;
+
+    /** @p room is the segment size: the manifest must lie inside it. */
+    bool fits(Bytes room) const;
 };
 static_assert(sizeof(RawSegmentHeader) == 64);
 
-/** Raw on-device record header (64 bytes, checksum-protected). */
+/** Raw on-device record header (64 bytes, sealed). */
 struct RawRecordHeader {
+    static constexpr std::uint64_t kMagic = kRecordMagic;
     std::uint64_t magic;
     std::uint64_t tenant;
     std::uint64_t counter;    ///< tenant-monotonic checkpoint counter
@@ -87,11 +93,17 @@ struct RawRecordHeader {
     std::uint64_t data_len;   ///< payload bytes following the header
     std::uint32_t data_crc;   ///< CRC-32C of the payload
     std::uint8_t pad[16];
-    std::uint32_t header_crc;  ///< CRC of all preceding fields
+    std::uint32_t crc;
+
+    /** @p room is the segment left from here: the payload must fit. */
+    bool fits(Bytes room) const
+    {
+        return range_fits(sizeof(RawRecordHeader), data_len, room);
+    }
 };
 static_assert(sizeof(RawRecordHeader) == 64);
 
-/** One manifest entry of a sealed segment (48 bytes). */
+/** One manifest entry of a sealed segment (48 bytes, sealed). */
 struct RawManifestEntry {
     std::uint64_t tenant;
     std::uint64_t counter;
@@ -99,23 +111,24 @@ struct RawManifestEntry {
     std::uint64_t record_off;  ///< segment-relative record header
     std::uint64_t data_len;
     std::uint32_t data_crc;
-    std::uint32_t entry_crc;  ///< CRC of all preceding fields
+    std::uint32_t crc;
+
+    /** @p room is the segment size: the record it indexes, header and
+     *  payload, must lie after the segment header and inside it. */
+    bool fits(Bytes room) const
+    {
+        return record_off >= sizeof(RawSegmentHeader) &&
+               range_fits(record_off, sizeof(RawRecordHeader), room) &&
+               range_fits(record_off + sizeof(RawRecordHeader), data_len,
+                          room);
+    }
 };
 static_assert(sizeof(RawManifestEntry) == 48);
 
-inline std::uint32_t header_crc(const RawSegmentHeader& hdr)
+inline bool RawSegmentHeader::fits(Bytes room) const
 {
-    return crc32c(&hdr, offsetof(RawSegmentHeader, header_crc));
-}
-
-inline std::uint32_t header_crc(const RawRecordHeader& hdr)
-{
-    return crc32c(&hdr, offsetof(RawRecordHeader, header_crc));
-}
-
-inline std::uint32_t entry_crc(const RawManifestEntry& entry)
-{
-    return crc32c(&entry, offsetof(RawManifestEntry, entry_crc));
+    return range_fits(manifest_off,
+                      Bytes{record_count} * sizeof(RawManifestEntry), room);
 }
 
 }  // namespace segment_wire

@@ -45,7 +45,7 @@ CrashSimStorage::CrashSimStorage(Bytes size, StorageKind kind,
 StorageStatus
 CrashSimStorage::write(Bytes offset, const void* src, Bytes len)
 {
-    PCCHECK_CHECK_MSG(offset + len <= size_,
+    PCCHECK_CHECK_MSG(range_fits(offset, len, size_),
                       "write out of range off=" << offset << " len=" << len);
     {
         MutexLock lock(mu_);
@@ -68,18 +68,20 @@ CrashSimStorage::write(Bytes offset, const void* src, Bytes len)
 StorageStatus
 CrashSimStorage::read(Bytes offset, void* dst, Bytes len) const
 {
-    if (offset + len > size_) {
+    if (!range_fits(offset, len, size_)) {
         return StorageStatus::permanent_error("crash_sim.read_range");
     }
     MutexLock lock(mu_);
-    std::memcpy(dst, volatile_.data() + offset, len);
+    // copy_n, not memcpy: an empty read may name a null buffer.
+    std::copy_n(volatile_.data() + offset, len,
+                static_cast<std::uint8_t*>(dst));
     return StorageStatus::success();
 }
 
 StorageStatus
 CrashSimStorage::persist(Bytes offset, Bytes len)
 {
-    PCCHECK_CHECK(offset + len <= size_);
+    PCCHECK_CHECK(range_fits(offset, len, size_));
     if (len == 0) {
         return StorageStatus::success();
     }

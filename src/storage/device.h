@@ -108,6 +108,32 @@ class StorageDevice {
     }
 };
 
+/**
+ * True when [@p offset, @p offset + @p len) lies inside [0, @p size),
+ * computed without the sum: a range that wraps past 2^64 is out of
+ * range. Every leaf device and every on-media decode bounds with it.
+ */
+constexpr bool
+range_fits(Bytes offset, Bytes len, Bytes size)
+{
+    return offset <= size && len <= size - offset;
+}
+
+/** The full durability contract for one range: write, persist, fence. */
+inline StorageStatus
+write_durably(StorageDevice& device, Bytes offset, const void* src,
+              Bytes len)
+{
+    StorageStatus status = device.write(offset, src, len);
+    if (status.ok()) {
+        status = device.persist(offset, len);
+    }
+    if (status.ok()) {
+        status = device.fence();
+    }
+    return status;
+}
+
 /** True when the kind requires an explicit fence after persist(). */
 constexpr bool
 needs_fence(StorageKind kind)

@@ -4,6 +4,7 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -51,7 +52,7 @@ FileStorage::~FileStorage()
 StorageStatus
 FileStorage::write(Bytes offset, const void* src, Bytes len)
 {
-    PCCHECK_CHECK_MSG(offset + len <= size_,
+    PCCHECK_CHECK_MSG(range_fits(offset, len, size_),
                       "write out of range off=" << offset << " len=" << len);
     std::memcpy(map_ + offset, src, len);
     return StorageStatus::success();
@@ -60,13 +61,14 @@ FileStorage::write(Bytes offset, const void* src, Bytes len)
 StorageStatus
 FileStorage::read(Bytes offset, void* dst, Bytes len) const
 {
-    if (offset + len > size_) {
+    if (!range_fits(offset, len, size_)) {
         // A truncated or short-mapped device file is a media condition,
         // not a programming error: recovery must be able to observe it
         // and fall back to another source instead of dying here.
         return StorageStatus::permanent_error("file.read_range");
     }
-    std::memcpy(dst, map_ + offset, len);
+    // copy_n, not memcpy: an empty read may name a null buffer.
+    std::copy_n(map_ + offset, len, static_cast<std::uint8_t*>(dst));
     return StorageStatus::success();
 }
 
@@ -76,7 +78,7 @@ FileStorage::persist(Bytes offset, Bytes len)
     if (len == 0) {
         return StorageStatus::success();
     }
-    PCCHECK_CHECK(offset + len <= size_);
+    PCCHECK_CHECK(range_fits(offset, len, size_));
     PCCHECK_TRACE_SPAN("storage.msync", "len", len);
     const Bytes start = align_down(offset, kPage);
     const Bytes end = align_up(offset + len, kPage);

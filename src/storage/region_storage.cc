@@ -11,7 +11,7 @@ RegionStorage::RegionStorage(StorageDevice& inner, Bytes offset,
     : inner_(&inner), offset_(offset), bytes_(bytes)
 {
     PCCHECK_CHECK_MSG(bytes > 0, "RegionStorage: empty window");
-    PCCHECK_CHECK_MSG(offset + bytes <= inner.size(),
+    PCCHECK_CHECK_MSG(range_fits(offset, bytes, inner.size()),
                       "RegionStorage: window [" << offset << ", "
                       << offset + bytes << ") exceeds device size "
                       << inner.size());
@@ -21,7 +21,7 @@ StorageStatus
 RegionStorage::check_range(Bytes offset, Bytes len,
                            const char* what) const
 {
-    if (offset > bytes_ || len > bytes_ - offset) {
+    if (!range_fits(offset, len, bytes_)) {
         return StorageStatus::permanent_error(what);
     }
     return StorageStatus::success();

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit and concurrency tests for the lock-free queues, SPSC ring,
- * latches, and thread pool.
+ * Unit and concurrency tests for the lock-free queues and the thread
+ * pool.
  */
 
 #include <gtest/gtest.h>
@@ -13,10 +13,8 @@
 #include <thread>
 #include <vector>
 
-#include "concurrent/latch.h"
 #include "concurrent/mpmc_queue.h"
 #include "concurrent/ms_queue.h"
-#include "concurrent/spsc_ring.h"
 #include "concurrent/thread_pool.h"
 
 namespace pccheck {
@@ -134,91 +132,6 @@ TEST(MsQueueTest, MultiProducerMultiConsumerStress)
 {
     MsQueue<int> queue(64);
     run_mpmc_stress(queue, 3, 3, 400);
-}
-
-TEST(SpscRingTest, FifoAndBounds)
-{
-    SpscRing<int> ring(4);
-    EXPECT_EQ(ring.capacity(), 4u);
-    for (int i = 0; i < 4; ++i) {
-        EXPECT_TRUE(ring.try_push(i));
-    }
-    EXPECT_FALSE(ring.try_push(99));
-    for (int i = 0; i < 4; ++i) {
-        EXPECT_EQ(ring.try_pop().value(), i);
-    }
-    EXPECT_FALSE(ring.try_pop().has_value());
-}
-
-TEST(SpscRingTest, ProducerConsumerStress)
-{
-    SpscRing<int> ring(16);
-    constexpr int kItems = 20000;
-    std::thread producer([&ring] {
-        for (int i = 0; i < kItems; ++i) {
-            while (!ring.try_push(i)) {
-                std::this_thread::yield();
-            }
-        }
-    });
-    long long sum = 0;
-    int received = 0;
-    int last = -1;
-    while (received < kItems) {
-        const auto v = ring.try_pop();
-        if (v.has_value()) {
-            EXPECT_EQ(*v, last + 1);  // strict FIFO
-            last = *v;
-            sum += *v;
-            ++received;
-        }
-    }
-    producer.join();
-    EXPECT_EQ(sum, static_cast<long long>(kItems) * (kItems - 1) / 2);
-}
-
-TEST(CountdownLatchTest, ReleasesAtZero)
-{
-    CountdownLatch latch(3);
-    std::atomic<bool> released{false};
-    std::thread waiter([&] {
-        latch.wait();
-        released.store(true);
-    });
-    latch.count_down();
-    latch.count_down();
-    EXPECT_FALSE(released.load());
-    latch.count_down();
-    waiter.join();
-    EXPECT_TRUE(released.load());
-}
-
-TEST(CyclicBarrierTest, RendezvousRepeatedly)
-{
-    constexpr int kParties = 4;
-    constexpr int kRounds = 20;
-    CyclicBarrier barrier(kParties);
-    std::atomic<int> counter{0};
-    std::vector<std::thread> threads;
-    std::atomic<bool> ok{true};
-    for (int party = 0; party < kParties; ++party) {
-        threads.emplace_back([&] {
-            for (int round = 0; round < kRounds; ++round) {
-                counter.fetch_add(1);
-                barrier.arrive_and_wait();
-                // After the barrier, all parties of this round arrived.
-                if (counter.load() < (round + 1) * kParties) {
-                    ok.store(false);
-                }
-                barrier.arrive_and_wait();
-            }
-        });
-    }
-    for (auto& thread : threads) {
-        thread.join();
-    }
-    EXPECT_TRUE(ok.load());
-    EXPECT_EQ(counter.load(), kParties * kRounds);
 }
 
 TEST(ThreadPoolTest, RunsAllTasks)

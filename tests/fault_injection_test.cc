@@ -122,21 +122,50 @@ TEST(FaultInjectionTest, NewestDataCorruptionFallsBack)
     EXPECT_EQ(recovered->counter, candidates[1].counter);
 }
 
+/** Device offsets of the two header copies (docs/RECOVERY.md). */
+constexpr Bytes kHeaderCopies[] = {0, 192};
+
 TEST(FaultInjectionTest, HeaderCorruptionFailsOpen)
 {
     auto device = device_with_two_checkpoints();
-    smash(*device, 0, 8, 0x00);  // destroy the magic
+    for (const Bytes copy : kHeaderCopies) {
+        smash(*device, copy, 8, 0x00);  // destroy this copy's magic
+    }
     EXPECT_THROW(SlotStore::open(*device), FatalError);
     std::vector<std::uint8_t> buffer;
     EXPECT_FALSE(recover_to_buffer(*device, &buffer).has_value());
 }
 
+TEST(FaultInjectionTest, OneDestroyedHeaderCopyStillRecoversNewest)
+{
+    for (const Bytes copy : kHeaderCopies) {
+        auto device = device_with_two_checkpoints();
+        smash(*device, copy, 64, 0xEE);
+        std::vector<std::uint8_t> buffer;
+        const auto recovered = recover_to_buffer(*device, &buffer);
+        ASSERT_TRUE(recovered.has_value()) << "copy at " << copy;
+        EXPECT_EQ(recovered->iteration, 2u) << "copy at " << copy;
+    }
+}
+
 TEST(FaultInjectionTest, HeaderGeometryLiesAreRejected)
 {
     auto device = device_with_two_checkpoints();
-    // Inflate slot_count so slots would extend past the device end.
-    std::uint32_t huge = 1000;
-    PCCHECK_MUST(device->write(12, &huge, sizeof(huge)));  // header.slot_count
+    // Inflate slot_count so slots would extend past the device end, and
+    // re-seal both copies: the CRC passes, so the geometry check alone
+    // must reject them.
+    for (const Bytes copy : kHeaderCopies) {
+        std::uint8_t header[64];
+        PCCHECK_MUST(device->read(copy, header, sizeof(header)));
+        std::uint32_t crc = 0;
+        std::memcpy(&crc, header + 60, sizeof(crc));
+        ASSERT_EQ(crc, crc32c(header, 60)) << "copy at " << copy;
+        const std::uint32_t huge = 1000;
+        std::memcpy(header + 12, &huge, sizeof(huge));  // slot_count
+        crc = crc32c(header, 60);
+        std::memcpy(header + 60, &crc, sizeof(crc));
+        PCCHECK_MUST(device->write(copy, header, sizeof(header)));
+    }
     EXPECT_THROW(SlotStore::open(*device), FatalError);
 }
 

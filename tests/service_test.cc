@@ -14,6 +14,7 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstring>
 #include <limits>
 #include <map>
@@ -671,6 +672,145 @@ TEST(SegmentLogTest, ChainWalkStopsAtATornPublish)
     std::vector<std::uint8_t> payload;
     ASSERT_TRUE(segment_fetch(device, 0, records[0], &payload));
     EXPECT_EQ(std::memcmp(payload.data(), a.data(), a.size()), 0);
+}
+
+// ---------------------------------------------------------------------
+// Crafted sealed input: a forged header, record or manifest entry with
+// a valid CRC must read as torn, never throw or escape its segment.
+
+/** Recompute the trailing CRC-32C of the @p size-byte record at @p at. */
+void
+reseal(std::uint8_t* at, Bytes size)
+{
+    const std::uint32_t crc = crc32c(at, size - sizeof(std::uint32_t));
+    std::memcpy(at + size - sizeof(crc), &crc, sizeof(crc));
+}
+
+template <typename Field>
+void
+poke(std::uint8_t* at, Bytes offset, Field value)
+{
+    std::memcpy(at + offset, &value, sizeof(value));
+}
+
+TEST(SegmentScanTest, ForgedManifestCountIsATornSegment)
+{
+    using segment_wire::RawSegmentHeader;
+    const SegmentLogConfig config = tiny_segments();
+    MemStorage device(SegmentLog::required_size(config));
+    {
+        SegmentLog log(device, 0, config);
+        ASSERT_TRUE(log.format().ok());
+        const auto a = pattern(800, 1);
+        ASSERT_TRUE(log.append(3, 1, 10, a.data(), a.size()).ok());
+    }
+    ASSERT_EQ(segment_scan(device, 0, config).size(), 1u);
+    // Seal segment 0's header over a manifest of UINT32_MAX entries
+    // (about 206 GB): a valid CRC over an impossible count.
+    std::uint8_t* const hdr = device.raw();
+    poke(hdr, offsetof(RawSegmentHeader, sealed), std::uint32_t{1});
+    poke(hdr, offsetof(RawSegmentHeader, manifest_off),
+         std::uint64_t{sizeof(RawSegmentHeader)});
+    poke(hdr, offsetof(RawSegmentHeader, record_count),
+         std::numeric_limits<std::uint32_t>::max());
+    reseal(hdr, sizeof(RawSegmentHeader));
+    std::vector<SegmentRecordInfo> records;
+    EXPECT_NO_THROW(records = segment_scan(device, 0, config));
+    EXPECT_TRUE(records.empty());
+}
+
+TEST(SegmentScanTest, ForgedRecordLengthIsATornRecord)
+{
+    using segment_wire::RawRecordHeader;
+    const SegmentLogConfig config = tiny_segments();
+    MemStorage device(SegmentLog::required_size(config));
+    const auto a = pattern(800, 1);
+    const auto b = pattern(800, 2);
+    {
+        SegmentLog log(device, 0, config);
+        ASSERT_TRUE(log.format().ok());
+        ASSERT_TRUE(log.append(3, 1, 10, a.data(), a.size()).ok());
+        ASSERT_TRUE(log.append(3, 2, 20, b.data(), b.size()).ok());
+    }
+    std::vector<SegmentRecordInfo> records = segment_scan(device, 0, config);
+    ASSERT_EQ(records.size(), 2u);
+    const Bytes second = records[0].counter == 2 ? records[0].record_offset
+                                                 : records[1].record_offset;
+    // data_len = 2^64 - 11: the record's end wraps to a small offset.
+    std::uint8_t* const rec = device.raw() + second;
+    poke(rec, offsetof(RawRecordHeader, data_len),
+         std::numeric_limits<std::uint64_t>::max() - 10);
+    reseal(rec, sizeof(RawRecordHeader));
+    EXPECT_NO_THROW(records = segment_scan(device, 0, config));
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].counter, 1u);
+    std::vector<std::uint8_t> payload;
+    bool fetched = false;
+    EXPECT_NO_THROW(fetched = segment_fetch(device, 0, records[0], &payload));
+    EXPECT_TRUE(fetched);
+    EXPECT_EQ(payload, a);
+}
+
+TEST(SegmentScanTest, ForgedManifestEntryOutsideItsSegmentIsTorn)
+{
+    using segment_wire::RawManifestEntry;
+    using segment_wire::RawSegmentHeader;
+    const SegmentLogConfig config = tiny_segments();
+    for (const bool forge_length : {false, true}) {
+        SCOPED_TRACE(forge_length ? "data_len" : "record_off");
+        MemStorage device(SegmentLog::required_size(config));
+        {
+            SegmentLog log(device, 0, config);
+            ASSERT_TRUE(log.format().ok());
+            // Four 1 KiB records: three fill segment 0, which seals.
+            for (std::uint64_t i = 1; i <= 4; ++i) {
+                const auto data =
+                    pattern(1024, static_cast<std::uint8_t>(i));
+                ASSERT_TRUE(
+                    log.append(5, i, i, data.data(), data.size()).ok());
+            }
+        }
+        RawSegmentHeader hdr{};
+        std::memcpy(&hdr, device.raw(), sizeof(hdr));
+        ASSERT_EQ(hdr.sealed, 1u);
+        ASSERT_GT(hdr.record_count, 0u);
+        // Re-seal the first entry with a bound past its segment, then
+        // the manifest CRC and the header over it.
+        std::uint8_t* const manifest = device.raw() + hdr.manifest_off;
+        if (forge_length) {
+            poke(manifest, offsetof(RawManifestEntry, data_len),
+                 std::numeric_limits<std::uint64_t>::max() - 10);
+        } else {
+            poke(manifest, offsetof(RawManifestEntry, record_off),
+                 config.segment_bytes);
+        }
+        reseal(manifest, sizeof(RawManifestEntry));
+        poke(device.raw(), offsetof(RawSegmentHeader, manifest_crc),
+             crc32c(manifest, Bytes{hdr.record_count} *
+                                  sizeof(RawManifestEntry)));
+        reseal(device.raw(), sizeof(RawSegmentHeader));
+
+        std::vector<SegmentRecordInfo> records;
+        EXPECT_NO_THROW(records = segment_scan(device, 0, config));
+        std::size_t in_segment0 = 0;
+        for (const SegmentRecordInfo& record : records) {
+            const Bytes rel =
+                record.record_offset - Bytes{record.segment} *
+                                           config.segment_bytes;
+            EXPECT_GE(rel, sizeof(RawSegmentHeader));
+            EXPECT_LE(rel, config.segment_bytes - 64);
+            EXPECT_LE(record.data_len, config.segment_bytes - 64 - rel);
+            std::vector<std::uint8_t> payload;
+            bool fetched = false;
+            EXPECT_NO_THROW(fetched =
+                                segment_fetch(device, 0, record, &payload));
+            EXPECT_TRUE(fetched);
+            in_segment0 += record.segment == 0 ? 1 : 0;
+        }
+        // The rejected manifest demotes segment 0 to its chain walk,
+        // which still finds every record the manifest indexed.
+        EXPECT_EQ(in_segment0, hdr.record_count);
+    }
 }
 
 TEST(SegmentWireTest, OnMediaLayoutIsFrozen)

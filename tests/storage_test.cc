@@ -14,6 +14,7 @@
 #include "storage/crash_sim.h"
 #include "storage/file_storage.h"
 #include "storage/mem_storage.h"
+#include "storage/region_storage.h"
 #include "storage/throttled_storage.h"
 #include "util/clock.h"
 #include "util/rng.h"
@@ -220,6 +221,34 @@ TEST(FileStorageTest, ReadPastTruncatedImageIsPermanentError)
         PCCHECK_MUST(file.read(0, out.data(), 64));
     }
     std::remove(path.c_str());
+}
+
+// A range whose end wraps past 2^64 is out of range, not a short one:
+// every leaf device must refuse the read instead of copying from just
+// before its buffer.
+TEST(StorageRangeTest, WrappingReadFailsOnEveryLeafDevice)
+{
+    const std::string path = "/tmp/pccheck_file_storage_wrap_test.bin";
+    {
+        MemStorage mem(4096);
+        CrashSimStorage sim(4096, StorageKind::kPmemClwb);
+        FileStorage file(path, 4096);
+        RegionStorage region(mem, 0, 4096);
+        StorageDevice* const devices[] = {&mem, &sim, &file, &region};
+        for (StorageDevice* device : devices) {
+            std::uint8_t out[16] = {};
+            const StorageStatus status =
+                device->read(UINT64_MAX - 8, out, sizeof(out));
+            EXPECT_FALSE(status.ok());
+            EXPECT_TRUE(status.is_permanent());
+        }
+    }
+    std::remove(path.c_str());
+    EXPECT_TRUE(range_fits(0, 4096, 4096));
+    EXPECT_TRUE(range_fits(4096, 0, 4096));
+    EXPECT_FALSE(range_fits(4097, 0, 4096));
+    EXPECT_FALSE(range_fits(UINT64_MAX - 8, 16, 4096));
+    EXPECT_FALSE(range_fits(8, UINT64_MAX - 4, 4096));
 }
 
 TEST(ThrottledStorageTest, ForwardsDataIntact)
