@@ -50,14 +50,11 @@ recover_latest_into_state(StorageDevice& device, TrainingState& state,
         sparse ? TrainingState::verify_buffer_sparse(buffer.data(),
                                                      buffer.size())
                : TrainingState::verify_buffer(buffer.data(), buffer.size());
-    if (!stamped.has_value()) {
+    if (!stamped.has_value() ||
+        (sparse ? *stamped > result->iteration
+                : *stamped != result->iteration)) {
         return std::nullopt;
     }
-    PCCHECK_CHECK_MSG(sparse ? *stamped <= result->iteration
-                             : *stamped == result->iteration,
-                      "state stamped " << *stamped
-                                       << " does not match recovered "
-                                       << result->iteration);
     state.restore(buffer.data(), buffer.size(), result->iteration, pinned);
     result->load_time = watch.elapsed();
     return result;

@@ -203,6 +203,19 @@ ReplicationEngine::record_ack(const Handle& handle, std::size_t index,
     }
 }
 
+ReplicationEngine::Split
+ReplicationEngine::split(Bytes len, Bytes chunk_bytes)
+{
+    PCCHECK_CHECK(chunk_bytes > 0);
+    Split out;
+    out.count = (len + chunk_bytes - 1) / chunk_bytes;
+    if (out.count > 0) {
+        out.base = len / out.count;
+        out.longer = len % out.count;
+    }
+    return out;
+}
+
 struct ReplicationEngine::Chunk {
     Handle handle;
     const std::uint8_t* src = nullptr;  ///< staging buffer
@@ -226,8 +239,8 @@ ReplicationEngine::send_chunk(const Handle& handle, Bytes offset,
         }
         return;
     }
-    const Bytes step = config_.chunk_bytes;
-    const auto subs = static_cast<int>((len + step - 1) / step);
+    const Split cut = split(len, config_.chunk_bytes);
+    const auto subs = static_cast<int>(cut.count);
     // pccheck-tidy: disable=hot-path-alloc -- one control block per
     // staged chunk, amortized over chunk_bytes of network I/O.
     auto chunk = std::make_shared<Chunk>();
@@ -250,8 +263,9 @@ ReplicationEngine::send_chunk(const Handle& handle, Bytes offset,
     for (std::size_t i = 0; i < peers_.size(); ++i) {
         chunk->run[i] = issue(*peers_[i], handle->counter_, subs);
     }
-    for (Bytes at = 0; at < len; at += step) {
-        const Bytes sub = std::min(step, len - at);
+    for (Bytes i = 0; i < cut.count; ++i) {
+        const Bytes at = cut.at(i);
+        const Bytes sub = cut.size(i);
         const std::size_t lane = next_lane_++ % kLanes;
         // pccheck-tidy: disable=hot-path-alloc -- task capture + strand
         // queue node, once per sub-chunk handoff.
@@ -283,7 +297,7 @@ ReplicationEngine::hop(const std::shared_ptr<Chunk>& chunk, Bytes at,
     }
     if (!failed) {
         // relaxed: monitoring counter, no ordering needed.
-        bytes_sent_.fetch_add(len, std::memory_order_relaxed);
+        lane_bytes_[lane].fetch_add(len, std::memory_order_relaxed);
         bytes_counter.add(len);
         bool stored = net_->transfer_for(holder, state.peer.node, len,
                                          config_.ack_timeout)

@@ -30,6 +30,7 @@
  * peer costs one timeout per in-flight transfer, never a hang.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -53,7 +54,8 @@ struct ReplicationConfig {
     int replicas = 0;
     /** Acks required before the commit CAS may publish (<= replicas). */
     int quorum = 0;
-    /** Network sub-chunk granularity for each staged chunk. */
+    /** Largest network sub-chunk: each staged chunk is cut into
+     *  ceil(len / chunk_bytes) sub-chunks of equal size. */
     Bytes chunk_bytes = 256 * kKiB;
     /** Per-transfer ack deadline — the cost of a dead peer. */
     Seconds ack_timeout = 0.05;
@@ -99,6 +101,30 @@ class ReplicationEngine {
 
     ReplicationEngine(const ReplicationEngine&) = delete;
     ReplicationEngine& operator=(const ReplicationEngine&) = delete;
+
+    /**
+     * Sub-chunk transfers in flight per chain hop, one per lane.
+     * transfer_for pays egress, then ingress, so one transfer in
+     * flight keeps each NIC busy half the time; two keep both busy,
+     * but only because split() gives both lanes equal bytes.
+     */
+    static constexpr std::size_t kLanes = 2;
+
+    /**
+     * How send_chunk() cuts a staged chunk: into count =
+     * ceil(len / chunk_bytes) sub-chunks of equal size, the first
+     * `longer` of them one byte longer. None exceeds chunk_bytes, and
+     * the lanes, which take sub-chunks in turn, carry equal bytes.
+     */
+    struct Split {
+        Bytes count = 0;
+        Bytes base = 0;    ///< len / count
+        Bytes longer = 0;  ///< len % count
+        /** Offset of sub-chunk @p i within the staged chunk. */
+        Bytes at(Bytes i) const { return i * base + std::min(i, longer); }
+        Bytes size(Bytes i) const { return base + (i < longer ? 1 : 0); }
+    };
+    static Split split(Bytes len, Bytes chunk_bytes);
 
     /** One checkpoint's replication state; see begin(). */
     class Inflight {
@@ -216,18 +242,21 @@ class ReplicationEngine {
      */
     Bytes bytes_sent() const
     {
+        Bytes total = 0;
+        for (std::size_t lane = 0; lane < kLanes; ++lane) {
+            total += lane_bytes(lane);
+        }
+        return total;
+    }
+
+    /** The part of bytes_sent() that went down lane @p lane. */
+    Bytes lane_bytes(std::size_t lane) const
+    {
         // relaxed: monitoring counter, no ordering required.
-        return bytes_sent_.load(std::memory_order_relaxed);
+        return lane_bytes_[lane].load(std::memory_order_relaxed);
     }
 
   private:
-    /**
-     * Sub-chunk transfers in flight per chain hop. transfer_for pays
-     * egress, then ingress, so one transfer in flight keeps each NIC
-     * busy half the time; two keep both busy.
-     */
-    static constexpr std::size_t kLanes = 2;
-
     /** FIFO task queue run on the shared pool, one task at a time. */
     struct Strand {
         Mutex mu;
@@ -286,7 +315,7 @@ class ReplicationEngine {
     std::unique_ptr<ThreadPool> pool_;
     Atomic<std::uint64_t> degraded_{0};
     Atomic<std::uint64_t> acks_{0};
-    Atomic<Bytes> bytes_sent_{0};
+    Atomic<Bytes> lane_bytes_[kLanes]{};
     /** Set once before traffic starts; called on the advancing thread. */
     std::function<void(std::uint64_t)> watermark_guard_;
 };

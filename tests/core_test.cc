@@ -857,6 +857,51 @@ TEST(RecoveryTest, NoCheckpointReturnsNullopt)
     EXPECT_FALSE(recover_to_buffer(device, &buffer).has_value());
 }
 
+TEST(RecoveryTest, StampsThatContradictTheRecordReturnNullopt)
+{
+    // A sealed, CRC-valid pointer record of iteration `recorded` over
+    // slot data stamped 10, on an arena with `delta_log` bytes of
+    // delta region. Recovery either restores it or leaves the state
+    // (stamped 3) untouched.
+    constexpr Bytes kSize = 16 * 1024;
+    const auto recover = [](Bytes delta_log, std::uint64_t recorded) {
+        MemStorage device(SlotStore::required_size(3, kSize, delta_log));
+        SlotStore store = SlotStore::format(device, 3, kSize, delta_log);
+        std::vector<std::uint8_t> image(kSize);
+        TrainingState::stamp_buffer(image.data(), kSize, 10);
+        PCCHECK_MUST(store.write_slot(1, 0, image.data(), kSize));
+        PCCHECK_MUST(store.persist_slot_range(1, 0, kSize));
+        PCCHECK_MUST(device.fence());
+        PCCHECK_MUST(store.publish_pointer(CheckpointPointer{
+            1, 1, kSize, recorded, crc32c(image.data(), kSize)}));
+        GpuConfig gpu_config;
+        gpu_config.memory_bytes = 1 * kMiB;
+        gpu_config.pcie_bytes_per_sec = 0;
+        SimGpu gpu(gpu_config);
+        TrainingState state(gpu, kSize);
+        state.stamp(3);
+        const auto result = recover_latest_into_state(device, state);
+        const std::uint64_t held = result ? result->iteration : 3;
+        EXPECT_EQ(state.iteration(), held);
+        EXPECT_EQ(TrainingState::verify_buffer_sparse(
+                      gpu.device_data(state.device_ptr()), kSize),
+                  std::make_optional<std::uint64_t>(result ? 10 : 3));
+        return result;
+    };
+    // No delta region: every marker must carry the record's iteration.
+    EXPECT_FALSE(recover(0, 11).has_value());
+    EXPECT_FALSE(recover(0, 9).has_value());
+    const auto full = recover(0, 10);
+    ASSERT_TRUE(full.has_value());
+    EXPECT_EQ(full->iteration, 10u);
+    // A delta region: markers may be older than the record, never
+    // newer.
+    EXPECT_FALSE(recover(48 * 1024, 9).has_value());
+    const auto sparse = recover(48 * 1024, 11);
+    ASSERT_TRUE(sparse.has_value());
+    EXPECT_EQ(sparse->iteration, 11u);
+}
+
 // --------------------------------------------------------------------- Tuner
 
 TEST(TunerTest, MinIntervalFormula)

@@ -6,10 +6,14 @@
  * checkpoint whose counter is >= the peers' durable-publish watermark,
  * CRC-valid and stamp-verified, and resumes training on it.
  *
- * Mirrors crash_sweep_test.cc: a calibration run measures the
- * fault-op stream (storage ops + net.transfer ops share one
- * injector), each seed picks a loss index inside the armed window,
- * and every failure replays from its printed seed and loss-op index.
+ * Like crash_sweep_test.cc, a calibration run measures the fault-op
+ * stream (storage ops + net.transfer ops share one injector). Each
+ * seed picks a loss offset inside it and arms the loss that many ops
+ * after its own mark: the op count once the faulted checkpointer is
+ * set up. The count before the mark varies from run to run (a
+ * checkpoint that loses the commit race publishes nothing), so an
+ * absolute index could land in the set-up. Every failure replays from
+ * its printed seed and loss offset.
  * Runs 64 seeds by default; PCCHECK_REPLICA_SWEEP_SEEDS overrides
  * (CI smoke runs 8 under sanitizers).
  */
@@ -63,9 +67,13 @@ tiny_model()
 }
 
 struct SeedRun {
-    std::uint64_t ops_after_warmup = 0;
+    /** Ops once the faulted checkpointer is set up; the loss is armed
+     *  relative to this. */
+    std::uint64_t mark = 0;
     std::uint64_t ops_total = 0;
     bool lost = false;  ///< the node_loss trigger fired
+    /** Op count the loss handler saw when it fired (0 = never). */
+    std::uint64_t lost_at = 0;
     /** Latest durable iteration before faults were armed. */
     std::uint64_t warm_iteration = 0;
     /** Surviving peers' view after the run (watermark + stores). */
@@ -78,12 +86,11 @@ struct SeedRun {
 /**
  * One full train → node-loss → drain cycle on a 3-node fabric: rank 0
  * trains and checkpoints locally while replicating to in-DRAM stores
- * on nodes 1 and 2 (replicas=2, quorum=1). With @p loss_op == 0 no
- * loss is armed (calibration: measures the shared op stream, which is
- * deterministic for a noise-free plan).
+ * on nodes 1 and 2 (replicas=2, quorum=1). The node loss fires
+ * @p loss_offset ops after the mark; 0 arms none (calibration).
  */
 SeedRun
-run_training(std::uint64_t seed, std::uint64_t loss_op)
+run_training(std::uint64_t seed, std::uint64_t loss_offset)
 {
     SeedRun out;
     auto injector = std::make_shared<FaultInjector>(seed);
@@ -125,25 +132,9 @@ run_training(std::uint64_t seed, std::uint64_t loss_op)
         PCCHECK_CHECK(latest.has_value());
         out.warm_iteration = latest->iteration;
     }
-    out.ops_after_warmup = injector->ops();
-
-    if (loss_op > 0) {
-        FaultRule loss;
-        loss.point = "*";
-        loss.action = FaultAction::kNodeLoss;
-        loss.trigger = FaultTrigger::kNthOp;
-        loss.nth = loss_op;
-        loss.limit = 1;
-        FaultyStorage* raw = &device;
-        SimNetwork* fabric = out.network.get();
-        injector->set_node_loss_handler([raw, fabric] {
-            // Atomic full-node failure: rank 0 loses its checkpoint
-            // media and its NIC in one step.
-            raw->kill();
-            fabric->kill_node(0);
-        });
-        injector->set_plan(FaultPlan().add(loss));
-    }
+    // The warmup's last replicas land before the mark, so no op runs
+    // between reading the mark and arming the loss.
+    engine.flush();
 
     {
         // The faulted main run. After the loss fires, every local
@@ -152,12 +143,38 @@ run_training(std::uint64_t seed, std::uint64_t loss_op)
         // process-exit analog for a machine that just vanished.
         PCcheckCheckpointer main_cp(state, device, config);
         main_cp.attach_replication(&engine);
+        // Armed only now: a loss inside SlotStore::open would make the
+        // constructor format a dead device, which aborts.
+        out.mark = injector->ops();
+        if (loss_offset > 0) {
+            FaultRule loss;
+            loss.point = "*";
+            loss.action = FaultAction::kNodeLoss;
+            loss.trigger = FaultTrigger::kNthOp;
+            loss.nth = out.mark + loss_offset;
+            loss.limit = 1;
+            FaultyStorage* raw = &device;
+            SimNetwork* fabric = out.network.get();
+            FaultInjector* counter = injector.get();
+            std::uint64_t* lost_at = &out.lost_at;
+            injector->set_node_loss_handler(
+                [raw, fabric, counter, lost_at] {
+                    *lost_at = counter->ops();
+                    // Atomic full-node failure: rank 0 loses its
+                    // checkpoint media and its NIC in one step.
+                    raw->kill();
+                    fabric->kill_node(0);
+                });
+            injector->set_plan(FaultPlan().add(loss));
+        }
         TrainingLoop loop(gpu, state, tiny_model());
         loop.run(kMainIters, kInterval, main_cp, kWarmupIters + 1);
         engine.flush();
     }
     out.ops_total = injector->ops();
     out.lost = injector->node_losses() > 0;
+    // Disarmed: the handler points at this frame's device.
+    injector->set_plan(FaultPlan());
     out.peer_watermark =
         std::max(out.store1->watermark(), out.store2->watermark());
     return out;
@@ -175,9 +192,9 @@ sweep_seeds(int fallback)
 
 TEST(ReplicaRecoverySweepTest, PeersServeQuorumWatermarkAtAnyLossPoint)
 {
-    // Calibrate the op-stream length once (deterministic workload).
+    // Calibrate the length of the op stream after the mark once.
     const SeedRun calib = run_training(24601, 0);
-    ASSERT_GT(calib.ops_total, calib.ops_after_warmup);
+    ASSERT_GT(calib.ops_total, calib.mark);
     ASSERT_FALSE(calib.lost);
 
     const int seeds = sweep_seeds(64);
@@ -185,18 +202,19 @@ TEST(ReplicaRecoverySweepTest, PeersServeQuorumWatermarkAtAnyLossPoint)
     for (int s = 1; s <= seeds; ++s) {
         const std::uint64_t seed = 3000 + static_cast<std::uint64_t>(s);
         Rng pick(seed * 0x9E3779B97F4A7C15ULL);
-        const std::uint64_t loss_op =
-            calib.ops_after_warmup + 1 +
-            pick.next_below(calib.ops_total - calib.ops_after_warmup);
-        SeedRun run = run_training(seed, loss_op);
+        const std::uint64_t loss_offset =
+            1 + pick.next_below(calib.ops_total - calib.mark);
+        SeedRun run = run_training(seed, loss_offset);
         if (!run.lost) {
             // Only legitimate when this run's op stream ended before
-            // the chosen index; anything else is a harness bug.
-            ASSERT_GT(loss_op, run.ops_total)
+            // the chosen offset; anything else is a harness bug.
+            ASSERT_GT(run.mark + loss_offset, run.ops_total)
                 << "loss trigger silently skipped, seed " << seed;
             continue;
         }
         ++lost;
+        ASSERT_GT(run.lost_at, run.mark)
+            << "loss fired before its mark, seed " << seed;
 
         // The dead rank's local media is gone (node_loss wipes it to
         // the recovery path's eyes), so a replacement machine joins as
@@ -212,21 +230,21 @@ TEST(ReplicaRecoverySweepTest, PeersServeQuorumWatermarkAtAnyLossPoint)
         // durable-publish watermark.
         ASSERT_TRUE(restored.has_value())
             << "no peer could serve a checkpoint, seed " << seed
-            << " loss_op " << loss_op;
+            << " loss_offset " << loss_offset;
         EXPECT_TRUE(restored->from_replica);
         EXPECT_GE(restored->result.counter, run.peer_watermark)
             << "restored checkpoint older than the quorum watermark, "
-            << "seed " << seed << " loss_op " << loss_op;
+            << "seed " << seed << " loss_offset " << loss_offset;
         EXPECT_GE(restored->result.iteration, run.warm_iteration)
             << "replicated checkpoint regressed, seed " << seed
-            << " loss_op " << loss_op;
+            << " loss_offset " << loss_offset;
         EXPECT_EQ(restored->result.iteration % kInterval, 0u);
         // recover_latest validated the CRC; the stamp check proves the
         // bytes are the iteration's actual training state.
         EXPECT_EQ(
             TrainingState::verify_buffer(buffer.data(), buffer.size()),
             std::make_optional(restored->result.iteration))
-            << "seed " << seed << " loss_op " << loss_op;
+            << "seed " << seed << " loss_offset " << loss_offset;
 
         // Resume: the replacement trains on fresh media from the
         // restored state and makes durable progress.
@@ -250,15 +268,19 @@ TEST(ReplicaRecoverySweepTest, PeersServeQuorumWatermarkAtAnyLossPoint)
     EXPECT_GE(lost, seeds * 9 / 10);
 }
 
-TEST(ReplicaRecoverySweepTest, CalibrationRunIsCleanAndDeterministic)
+TEST(ReplicaRecoverySweepTest, CalibrationIsCleanAndLossesFireAfterTheMark)
 {
-    const SeedRun a = run_training(4242, 0);
-    const SeedRun b = run_training(4242, 0);
-    EXPECT_FALSE(a.lost);
-    EXPECT_EQ(a.ops_after_warmup, b.ops_after_warmup);
-    EXPECT_EQ(a.ops_total, b.ops_total);
-    EXPECT_EQ(a.peer_watermark, b.peer_watermark);
-    EXPECT_GT(a.peer_watermark, 0u);
+    // Op counts are not compared between runs: a checkpoint that
+    // loses the commit race publishes nothing, so they vary.
+    const SeedRun calib = run_training(4242, 0);
+    EXPECT_FALSE(calib.lost);
+    EXPECT_GT(calib.ops_total, calib.mark);
+    EXPECT_GT(calib.peer_watermark, 0u);
+    // The earliest loss the sweep can draw lands on the first op after
+    // the set-up, never inside it.
+    const SeedRun first = run_training(4242, 1);
+    ASSERT_TRUE(first.lost);
+    EXPECT_GT(first.lost_at, first.mark);
 }
 
 }  // namespace

@@ -498,6 +498,77 @@ TEST(ReplicationChainTest, OwnerNicCarriesOneCopy)
     }
 }
 
+TEST(ReplicationChainTest, SplitCutsEqualSubChunksThatTileTheChunk)
+{
+    for (const Bytes cap : {Bytes{1}, Bytes{4096}, 256 * kKiB}) {
+        for (const Bytes len : {Bytes{1}, cap, cap + 1, cap * 3 / 2,
+                                2 * cap, 5 * cap + 3}) {
+            const auto split = ReplicationEngine::split(len, cap);
+            EXPECT_EQ(split.count, (len + cap - 1) / cap) << len;
+            Bytes end = 0;
+            Bytes smallest = len;
+            Bytes largest = 0;
+            for (Bytes i = 0; i < split.count; ++i) {
+                EXPECT_EQ(split.at(i), end) << len << " #" << i;
+                EXPECT_GT(split.size(i), 0u) << len << " #" << i;
+                EXPECT_LE(split.size(i), cap) << len << " #" << i;
+                end += split.size(i);
+                smallest = std::min(smallest, split.size(i));
+                largest = std::max(largest, split.size(i));
+            }
+            EXPECT_EQ(end, len);
+            EXPECT_LE(largest - smallest, 1u) << len;
+        }
+    }
+    EXPECT_EQ(ReplicationEngine::split(0, 4096).count, 0u);
+}
+
+TEST(ReplicationChainTest, LanesCarryEqualBytesOfEachStagedChunk)
+{
+    // A staged chunk of 1.5 x chunk_bytes, the benchmark suite's shape,
+    // becomes two sub-chunks, one per lane. Were they chunk_bytes plus
+    // the rest, lane 0 would carry two thirds of the bytes, paying
+    // egress then ingress for each: about 1.33x the NIC floor.
+    constexpr Bytes kCap = 64 * kKiB;
+    constexpr Bytes kLen = kCap * 3 / 2;
+    constexpr Bytes kChunks = 8;
+    SimNetwork network(chain_fabric(0));
+    // No rules: the injector only counts transfers.
+    auto injector = std::make_shared<FaultInjector>(1);
+    network.set_fault_injector(injector);
+    ReplicaStore head;
+    ReplicaStore tail;
+    ReplicationConfig config;
+    config.replicas = 2;
+    config.quorum = 2;
+    config.chunk_bytes = kCap;
+    config.ack_timeout = 1.0;
+    ReplicationEngine engine(network, 0, config, {{1, &head}, {2, &tail}});
+
+    const auto data = pattern_bytes(kChunks * kLen, 12);
+    auto handle = engine.begin(11, 22, data.size());
+    for (Bytes i = 0; i < kChunks; ++i) {
+        engine.send_chunk(handle, i * kLen, data.data() + i * kLen, kLen,
+                          nullptr);
+    }
+    engine.seal(handle, crc32c(data.data(), data.size()));
+    EXPECT_TRUE(engine.await_quorum(handle));
+    engine.flush();
+
+    static_assert(ReplicationEngine::kLanes == 2);
+    EXPECT_EQ(engine.lane_bytes(0), engine.lane_bytes(1));
+    EXPECT_EQ(engine.bytes_sent(), 2 * data.size());
+    // One transfer per sub-chunk per hop, and both peers hold every
+    // byte.
+    EXPECT_EQ(injector->ops(),
+              2 * kChunks * ReplicationEngine::split(kLen, kCap).count);
+    for (ReplicaStore* store : {&head, &tail}) {
+        std::vector<std::uint8_t> read_back(data.size());
+        ASSERT_TRUE(store->read(11, 0, read_back.data(), read_back.size()));
+        EXPECT_EQ(read_back, data);
+    }
+}
+
 TEST(ReplicationChainTest, DeadHeadCostsTheTailOneAckTimeout)
 {
     SimNetwork network(chain_fabric(0));
