@@ -31,6 +31,7 @@ ThrottledStorage::write(Bytes offset, const void* src, Bytes len)
 StorageStatus
 ThrottledStorage::read(Bytes offset, void* dst, Bytes len) const
 {
+    PCCHECK_TRACE_SPAN("storage.read", "len", len);
     read_throttle_.acquire(len);
     return inner_->read(offset, dst, len);
 }

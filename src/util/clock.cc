@@ -1,5 +1,9 @@
 #include "util/clock.h"
 
+#include <sys/prctl.h>
+#include <time.h>
+
+#include <cerrno>
 #include <thread>
 
 #include "util/check.h"
@@ -19,15 +23,29 @@ MonotonicClock::sleep_for(Seconds duration) const
     if (duration <= 0) {
         return;
     }
-    // OS sleeps overshoot by scheduler slack (~100 µs here), which
-    // would systematically inflate every modeled duration. Sleep
-    // coarsely, then yield-spin the final slack for precision; yields
-    // keep sibling threads runnable on small machines.
-    constexpr Seconds kSlack = 300e-6;
+    // Timer slack is per thread, so lower it on each thread's first
+    // sleep (clock.h gives the measured reasons for the slack and the
+    // spin). If the call fails, sleeps are only less precise: the spin
+    // still keeps them from ending early.
+    thread_local const bool slack_set =
+        prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL) == 0;
+    (void)slack_set;
+
+    // Sleep in the kernel until kSpin before the deadline, then
+    // yield-spin the rest. The yields keep sibling threads runnable on
+    // small machines.
+    constexpr Seconds kSpin = 50e-6;
     const Seconds deadline = now() + duration;
-    if (duration > kSlack) {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(duration - kSlack));
+    if (duration > kSpin) {
+        // steady_clock is CLOCK_MONOTONIC on Linux, so now()'s epoch is
+        // the absolute timer's.
+        const Seconds wake = deadline - kSpin;
+        timespec ts{};
+        ts.tv_sec = static_cast<time_t>(wake);
+        ts.tv_nsec = static_cast<long>((wake - ts.tv_sec) * 1e9);
+        while (clock_nanosleep(CLOCK_MONOTONIC, TIMER_ABSTIME, &ts,
+                               nullptr) == EINTR) {
+        }
     }
     while (now() < deadline) {
         std::this_thread::yield();

@@ -37,6 +37,29 @@ class Clock {
 class MonotonicClock final : public Clock {
   public:
     Seconds now() const override;
+
+    /**
+     * Every emulated device paces itself with this sleep, so its error
+     * and its CPU cost land in every modeled duration and every
+     * CPU-seconds figure. The contract, and why:
+     *  - It never returns before now() + @p duration. An early return
+     *    would make a device faster than its model.
+     *  - It spins at most its last 50 µs (yielding between checks) and
+     *    sleeps in the kernel until then, on an absolute deadline
+     *    computed once. On an idle 4-vCPU VM a 1 ms sleep costs 41 µs
+     *    of CPU this way, against 238 µs with a 300 µs spin. Shorter
+     *    sleeps spin whole. The spin stays because a kernel wakeup
+     *    lands late (median 15 µs, 90th percentile 49 µs at 1 ns
+     *    slack), and a training step waits on several sleeps in series:
+     *    with no spin, the bench suite's train-ssd and train-replicated
+     *    median step grew 1.1-1.2% and their steps/s fell about 1%
+     *    (EXPERIMENTS.md).
+     *  - It lowers the calling thread's timer slack to 1 ns on the
+     *    thread's first sleep. The default 50 µs slack lets the kernel
+     *    defer the wakeup: with 4 sleeping threads, an absolute 1 ms
+     *    sleep's median overshoot was 68 µs at 50 µs slack and 15 µs
+     *    at 1 ns.
+     */
     void sleep_for(Seconds duration) const override;
 
     /** Process-wide instance (stateless, safe to share). */

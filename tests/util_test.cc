@@ -5,7 +5,9 @@
  */
 
 #include <gtest/gtest.h>
+#include <time.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -79,6 +81,47 @@ TEST(ClockTest, SleepForNegativeIsNoop)
     const Seconds a = clock.now();
     clock.sleep_for(-1.0);
     EXPECT_LT(clock.now() - a, 0.05);
+}
+
+Seconds
+thread_cpu_seconds()
+{
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<Seconds>(ts.tv_sec) + ts.tv_nsec * 1e-9;
+}
+
+// MonotonicClock::sleep_for's contract (clock.h): never early, and a
+// 1 ms sleep spins only its last 50 µs. A 300 µs spin costs about
+// 250 µs of CPU per 1 ms sleep, which the CPU bound rejects.
+TEST(ClockTest, SleepsNeverEarlyAndBarelySpin)
+{
+    const auto& clock = MonotonicClock::instance();
+    for (Seconds d :
+         {1e-6, 20e-6, 49e-6, 51e-6, 100e-6, 300e-6, 1e-3, 3e-3}) {
+        for (int i = 0; i < 5; ++i) {
+            const Seconds start = clock.now();
+            clock.sleep_for(d);
+            EXPECT_GE(clock.now() - start, d) << d << " s sleep ended early";
+        }
+    }
+
+    constexpr int kSleeps = 200;
+    constexpr Seconds kSleep = 1e-3;
+    std::vector<Seconds> overshoot;
+    overshoot.reserve(kSleeps);
+    const Seconds cpu_start = thread_cpu_seconds();
+    for (int i = 0; i < kSleeps; ++i) {
+        const Seconds start = clock.now();
+        clock.sleep_for(kSleep);
+        overshoot.push_back(clock.now() - start - kSleep);
+    }
+    const Seconds cpu_per_sleep =
+        (thread_cpu_seconds() - cpu_start) / kSleeps;
+    EXPECT_LT(cpu_per_sleep, 125e-6);
+    std::nth_element(overshoot.begin(), overshoot.begin() + kSleeps / 2,
+                     overshoot.end());
+    EXPECT_LT(overshoot[kSleeps / 2], 50e-6);
 }
 
 TEST(ClockTest, ScaledClockSpeedsUpTime)
