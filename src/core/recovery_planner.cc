@@ -193,6 +193,18 @@ RecoveryPlanner::salvage_local(SlotStore& store,
     if (!target.has_value()) {
         return false;  // every slot holds a live copy; don't risk one
     }
+    // The records above were re-read, and a read that lies hides a
+    // record: a target this recovery did not quarantine may still hold
+    // the last good local copy. Hold it in quarantine until the new
+    // record is durable, so a crash or a failed step in between leaves
+    // an accounted loss, never a silent one.
+    const bool hold = !store.is_quarantined(*target);
+    if (hold) {
+        if (!store.quarantine_slot(*target).ok()) {
+            return false;
+        }
+        ++planned->slots_quarantined;  // until released below
+    }
     // Full persist contract, then verify the media actually holds the
     // bytes before the record (or the quarantine release) trusts it.
     if (!store.repair_slot(*target, image.data(), image.size()).ok()) {
@@ -206,8 +218,7 @@ RecoveryPlanner::salvage_local(SlotStore& store,
     if (std::memcmp(readback.data(), image.data(), image.size()) != 0) {
         return false;  // media rejected the repair; leave quarantine on
     }
-    if (store.is_quarantined(*target) &&
-        !store.release_quarantine(*target).ok()) {
+    if (!hold && !store.release_quarantine(*target).ok()) {
         return false;
     }
     CheckpointPointer pointer;
@@ -220,6 +231,12 @@ RecoveryPlanner::salvage_local(SlotStore& store,
                            : crc32c(image.data(), image.size());
     if (!store.publish_pointer(pointer).ok()) {
         return false;
+    }
+    if (hold) {
+        if (!store.release_quarantine(*target).ok()) {
+            return false;
+        }
+        --planned->slots_quarantined;
     }
     LOG_INFO("pccheck: salvaged checkpoint counter "
              << chosen.counter << " into local slot " << *target);

@@ -67,8 +67,6 @@ parse_action(const std::string& spec, FaultRule* rule)
             fatal("FaultPlan: stall needs a duration, e.g. stall=0.001");
         }
         rule->stall_seconds = parse_f64(spec.substr(eq + 1), "stall seconds");
-    } else if (name == "crash") {
-        rule->action = FaultAction::kCrash;
     } else if (name == "drop") {
         rule->action = FaultAction::kDrop;
     } else if (name == "node_loss") {
@@ -200,13 +198,6 @@ FaultInjector::set_plan(FaultPlan plan)
 }
 
 void
-FaultInjector::set_crash_handler(std::function<void()> handler)
-{
-    MutexLock lock(mu_);
-    crash_handler_ = std::move(handler);
-}
-
-void
 FaultInjector::set_node_loss_handler(std::function<void()> handler)
 {
     MutexLock lock(mu_);
@@ -242,7 +233,6 @@ FaultOutcome
 FaultInjector::on_op_full(const char* point)
 {
     double stall_seconds = 0.0;
-    std::function<void()> crash;
     std::function<void()> node_loss;
     std::function<void()> kill_target;
     StorageStatus status = StorageStatus::success();
@@ -290,10 +280,6 @@ FaultInjector::on_op_full(const char* point)
               case FaultAction::kStall:
                 stall_seconds = rule.stall_seconds;
                 break;
-              case FaultAction::kCrash:
-                ++crashes_;
-                crash = crash_handler_;
-                break;
               case FaultAction::kDrop:
                 // A drop is retryable from the sender's point of view:
                 // resend after the ack deadline.
@@ -335,12 +321,9 @@ FaultInjector::on_op_full(const char* point)
             break;  // first firing rule wins
         }
     }
-    // Side effects run outside the lock: the crash handler typically
-    // snapshots the storage device (its own mutex), and a stall must
-    // not serialize every other fault point behind this op.
-    if (crash) {
-        crash();
-    }
+    // Side effects run outside the lock: the node-loss handler kills
+    // devices (their own mutexes), and a stall must not serialize
+    // every other fault point behind this op.
     if (node_loss) {
         node_loss();
     }
@@ -365,13 +348,6 @@ FaultInjector::injected() const
 {
     MutexLock lock(mu_);
     return injected_;
-}
-
-std::uint64_t
-FaultInjector::crashes() const
-{
-    MutexLock lock(mu_);
-    return crashes_;
 }
 
 std::uint64_t

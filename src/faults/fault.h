@@ -10,7 +10,7 @@
  * rules — which point, what action, on what schedule — and a
  * FaultInjector evaluates the plan at every op, entirely driven by a
  * seed and a global op counter. Same plan + same seed + same op order
- * → exactly the same faults, which is what makes crash-sweep failures
+ * → exactly the same faults, which is what makes sweep failures
  * replayable (`--seed=N` reproduces the run bit for bit).
  *
  * Actions model the failure taxonomy of the persist path:
@@ -19,8 +19,6 @@
  *    checkpoint-attempt abort upstream;
  *  - stall:     the op succeeds but takes extra wall time (tail
  *    latency / a competing flush);
- *  - crash:     fires the registered crash handler (the sweep harness
- *    snapshots the CrashSimStorage durable image there);
  *  - drop:      network: the bytes vanish in flight, the sender only
  *    learns at the ack deadline (SimNetwork::transfer_for);
  *  - node_loss: fires the registered node-loss handler, which
@@ -49,7 +47,6 @@ enum class FaultAction {
     kTransient,  ///< return a retryable error
     kPermanent,  ///< return a non-retryable error
     kStall,      ///< delay the op, then let it succeed
-    kCrash,      ///< invoke the crash handler, op proceeds
     kDrop,       ///< network: bytes vanish in flight (retryable error)
     kNodeLoss,   ///< invoke the node-loss handler, op then fails
     kBitflip,    ///< read path: XOR a byte mask into the data (bit rot)
@@ -103,13 +100,13 @@ class FaultPlan {
      *     point:action[=arg]@trigger[,limit=N]
      *
      * with action one of `transient`, `permanent`, `stall=SECONDS`,
-     * `crash`, `drop`, `node_loss`, `bitflip=MASK` (byte mask, decimal
-     * or 0x-hex, read points only), `unreadable` (read points only),
-     * and trigger one of `nth=N`, `every=N`, `p=P`, `window=LO-HI`.
+     * `drop`, `node_loss`, `bitflip=MASK` (byte mask, decimal or
+     * 0x-hex, read points only), `unreadable` (read points only),
+     * `kill_tenant=ID` or `kill_backend=IDX`, and trigger one of
+     * `nth=N`, `every=N`, `p=P`, `window=LO-HI`.
      * Examples:
      *
      *     storage.persist:transient@p=0.01
-     *     *:crash@nth=1234
      *     storage.write:stall=0.005@every=100,limit=3
      *     net.transfer:drop@p=0.02
      *     net.transfer:stall=0.001@every=10
@@ -152,8 +149,8 @@ struct FaultOutcome {
  * Evaluates a FaultPlan at every instrumented op. Thread safe; with
  * serialized ops the firing sequence is a pure function of (plan,
  * seed). The global op counter advances on every on_op() call whether
- * or not a rule fires, so "crash at op N" addresses a well-defined
- * point in the storage-op stream.
+ * or not a rule fires, so "fail op N" addresses a well-defined point
+ * in the storage-op stream.
  */
 class FaultInjector {
   public:
@@ -161,9 +158,6 @@ class FaultInjector {
 
     /** Replace the plan (e.g. arm faults only after formatting). */
     void set_plan(FaultPlan plan);
-
-    /** Handler invoked (outside the injector lock) by kCrash rules. */
-    void set_crash_handler(std::function<void()> handler);
 
     /**
      * Handler invoked (outside the injector lock) by kNodeLoss rules.
@@ -192,7 +186,7 @@ class FaultInjector {
      * Evaluate one op at fault point @p point (a literal with static
      * lifetime; it is kept as error context). Returns the injected
      * error, or success — after applying any stall and firing any
-     * crash handler.
+     * handler.
      */
     StorageStatus on_op(const char* point);
 
@@ -200,8 +194,8 @@ class FaultInjector {
      * Like on_op() but also reports read-path data corruption
      * (kBitflip). Read-instrumented decorators call this; write-path
      * points keep the plain on_op(). Both share the single global op
-     * counter, so "crash at op N" and "rot the read at op N" address
-     * the same interleaved op stream.
+     * counter, so "lose the node at op N" and "rot the read at op N"
+     * address the same interleaved op stream.
      */
     FaultOutcome on_op_full(const char* point);
 
@@ -209,8 +203,6 @@ class FaultInjector {
     std::uint64_t ops() const;
     /** Total rule firings (all actions). */
     std::uint64_t injected() const;
-    /** kCrash firings. */
-    std::uint64_t crashes() const;
     /** kNodeLoss firings. */
     std::uint64_t node_losses() const;
     /** kKillTenant firings. */
@@ -224,12 +216,10 @@ class FaultInjector {
     Rng rng_ PCCHECK_GUARDED_BY(mu_);
     std::uint64_t op_index_ PCCHECK_GUARDED_BY(mu_) = 0;
     std::uint64_t injected_ PCCHECK_GUARDED_BY(mu_) = 0;
-    std::uint64_t crashes_ PCCHECK_GUARDED_BY(mu_) = 0;
     std::uint64_t node_losses_ PCCHECK_GUARDED_BY(mu_) = 0;
     std::uint64_t tenant_kills_ PCCHECK_GUARDED_BY(mu_) = 0;
     std::uint64_t backend_kills_ PCCHECK_GUARDED_BY(mu_) = 0;
     std::vector<std::uint64_t> fired_ PCCHECK_GUARDED_BY(mu_);
-    std::function<void()> crash_handler_ PCCHECK_GUARDED_BY(mu_);
     std::function<void()> node_loss_handler_ PCCHECK_GUARDED_BY(mu_);
     std::function<void(std::uint64_t)> kill_tenant_handler_
         PCCHECK_GUARDED_BY(mu_);

@@ -8,7 +8,7 @@
  * Routes every read/write/persist/fence through a FaultInjector fault
  * point before delegating to the inner device. An injected error is
  * returned without touching the inner device (the op never happened,
- * matching a failed syscall); stalls and crash triggers let the op
+ * matching a failed syscall); stalls and kill triggers let the op
  * proceed after the side effect. The read path additionally models
  * media decay: an `unreadable` rule fails the read with a permanent
  * error (bad sector) and a `bitflip=MASK` rule lets the read succeed
@@ -49,7 +49,7 @@ class FaultyStorage final : public StorageDevice {
     /**
      * @param inner decorated device (owned)
      * @param injector shared fault injector — the harness keeps its
-     *        own reference to set plans and crash handlers mid-run
+     *        own reference to set plans and handlers mid-run
      */
     FaultyStorage(std::unique_ptr<StorageDevice> inner,
                   std::shared_ptr<FaultInjector> injector);

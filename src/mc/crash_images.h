@@ -6,10 +6,11 @@
  * The crash-image enumerator every crash mode of mc_check shares.
  *
  * A crash mode is a WORKLOAD plus an ORACLE. The workload runs once
- * over a CrashSimStorage with a SnapshotRecorder attached, which
- * records a CrashSnapshot after every storage op: the durable image
- * plus the volatile content of every unflushed line. A power failure
- * at that instant keeps an ARBITRARY subset of the unflushed lines
+ * over a CrashSimStorage with a SnapshotRecorder attached
+ * (storage/crash_capture.h, the capture the seed sweeps share), which
+ * records the state after every storage op: the durable image plus
+ * the volatile content of every unflushed line. A power failure at
+ * that instant keeps an ARBITRARY subset of the unflushed lines
  * (paper §2.3 — cache eviction order is not program order), so each
  * snapshot induces up to 2^n crash images. enumerate_images
  * materializes each image and asks the oracle for a verdict.
@@ -17,12 +18,11 @@
  * Mask policy (fixed, no options): every mask when a crash point has
  * at most 12 unflushed lines; otherwise the empty mask, the full mask
  * and 4096 draws seeded from the op index, counted in
- * `sampled_points`. A mask has one bit per line, so a crash point
- * with more than 64 unflushed lines is a checked failure.
+ * `sampled_points`. A LineMask names any number of lines.
  *
- * A violating image is named by its crash clause `crash@<op>:0x<mask>`
- * (token.h); replay_image re-checks exactly that image on a fresh
- * run of a deterministic workload.
+ * A violating image is named by its crash clause `crash@<op>:0x<mask>`;
+ * replay_image re-checks exactly that image on a fresh run of a
+ * deterministic workload.
  */
 
 #include <cstdint>
@@ -32,48 +32,9 @@
 #include <utility>
 #include <vector>
 
-#include "storage/crash_sim.h"
-#include "util/bytes.h"
+#include "storage/crash_capture.h"
 
 namespace pccheck::mc {
-
-/** Device state captured after one storage operation. */
-struct CrashSnapshot {
-    std::size_t op_index = 0;
-    /** Durable image — what survives if nothing else is kept. */
-    std::vector<std::uint8_t> durable;
-    /** Unflushed (dirty or fence-pending) lines, ascending. */
-    std::vector<Bytes> lines;
-    /** Volatile content of each line, aligned with `lines`. */
-    std::vector<std::vector<std::uint8_t>> line_data;
-};
-
-/** The crash points one workload run recorded. */
-struct CrashTrace {
-    Bytes line_size = 0;
-    std::vector<CrashSnapshot> snapshots;
-};
-
-/**
- * Numbers the storage ops of @p device from 0 and, given a trace,
- * records a CrashSnapshot after each one. Installs the device's
- * post-op hook for its lifetime.
- */
-class SnapshotRecorder {
-  public:
-    SnapshotRecorder(CrashSimStorage& device, CrashTrace* trace);
-    ~SnapshotRecorder();
-    SnapshotRecorder(const SnapshotRecorder&) = delete;
-    SnapshotRecorder& operator=(const SnapshotRecorder&) = delete;
-
-    /** Index the next storage op will get (= ops recorded so far).
-     *  Workloads read it to place publish floors and ceilings. */
-    std::size_t next_op() const { return next_op_; }
-
-  private:
-    CrashSimStorage* device_;
-    std::size_t next_op_ = 0;
-};
 
 /**
  * (op index, value) marks a workload records as it runs, e.g. "from
@@ -111,7 +72,7 @@ struct CrashImageResult {
     std::size_t sampled_points = 0;
     /** First violating image (valid iff violated). */
     std::size_t crash_op = 0;
-    std::uint64_t crash_mask = 0;
+    LineMask crash_mask;
     /** Replay token naming the violation. */
     std::string token;
 };
@@ -123,7 +84,8 @@ CrashImageResult enumerate_images(const CrashTrace& trace,
 
 /** Check the one image (@p op, @p mask) of @p trace. */
 CrashImageResult replay_image(const CrashTrace& trace, std::size_t op,
-                              std::uint64_t mask, const ImageOracle& oracle);
+                              const LineMask& mask,
+                              const ImageOracle& oracle);
 
 }  // namespace pccheck::mc
 

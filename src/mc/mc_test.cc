@@ -51,8 +51,28 @@ TEST(Token, RoundTripsCrashClause)
     ASSERT_TRUE(token.has_value());
     ASSERT_TRUE(token->crash_op.has_value());
     EXPECT_EQ(*token->crash_op, 27u);
-    EXPECT_EQ(token->crash_mask, 0x1bu);
+    EXPECT_EQ(token->crash_mask, LineMask(0x1b));
     EXPECT_EQ(token->choices, choices);
+
+    // Up to 64 lines a mask prints and parses as one hex number.
+    EXPECT_EQ(crash_clause(0, 0), "crash@0:0x0");
+    EXPECT_EQ(crash_clause(11, ~0ULL), "crash@11:0xffffffffffffffff");
+    auto narrow = decode_token("v1.2..crash@6:0x0001");
+    ASSERT_TRUE(narrow.has_value());
+    EXPECT_EQ(narrow->crash_mask, LineMask(1));
+    narrow = decode_token("v1.2..crash@6:0xffffffffffffffff");
+    ASSERT_TRUE(narrow.has_value());
+    EXPECT_EQ(narrow->crash_mask, LineMask(~0ULL));
+    // Past 64 lines the digits go on; the clause still round-trips.
+    LineMask wide;
+    wide.keep(0);
+    wide.keep(64);
+    wide.keep(99);
+    EXPECT_EQ(crash_clause(5, wide), "crash@5:0x8000000010000000000000001");
+    const auto decoded = decode_token("v1.2.0." + crash_clause(5, wide));
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(decoded->crash_mask, wide);
+    EXPECT_FALSE(decoded->crash_mask.keeps(63));
 }
 
 TEST(Token, RejectsGarbage)
@@ -313,14 +333,14 @@ TEST(Mutations, LostWakeupDeadlocksWhenSlotStarved)
 CrashTrace one_byte_lines(std::size_t n)
 {
     CrashTrace trace;
-    trace.line_size = 1;
     CrashSnapshot snap;
+    snap.line_size = 1;
     snap.durable.assign(n, 0x00);
     for (std::size_t i = 0; i < n; ++i) {
         snap.lines.push_back(i);
         snap.line_data.push_back({0xFF});
     }
-    trace.snapshots.push_back(std::move(snap));
+    trace.push_back(std::move(snap));
     return trace;
 }
 
@@ -385,11 +405,21 @@ TEST(CrashImages, ReplayOfAnUnrecordedOpIsNoVerdict)
     EXPECT_EQ(miss.images, 0u);
 }
 
-TEST(CrashImagesDeathTest, MoreUnflushedLinesThanMaskBitsAbort)
+TEST(CrashImages, PastSixtyFourLinesMasksNameEveryLine)
 {
     const CrashTrace trace = one_byte_lines(65);
     CrashImageResult r;
-    EXPECT_DEATH(images_seen(trace, &r), "a mask holds 64");
+    const auto seen = images_seen(trace, &r);
+    EXPECT_EQ(r.sampled_points, 1u);
+    EXPECT_EQ(r.images, 2u + 4096u);
+    ASSERT_EQ(seen.size(), 2u + 4096u);
+    EXPECT_EQ(seen[1], std::vector<std::uint8_t>(65, 0xFF));
+    // The draws reach the 65th line too.
+    bool kept_last = false;
+    for (const auto& image : seen) {
+        kept_last = kept_last || image.back() == 0xFF;
+    }
+    EXPECT_TRUE(kept_last);
 }
 
 // ---- crash enumeration ----

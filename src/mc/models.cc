@@ -359,7 +359,7 @@ void CommitModel::check_end_state(bool check_durable_image)
     //    crash enumerator is driving; see run()).
     if (check_durable_image && max_won != 0) {
         const std::vector<std::uint8_t> image =
-            state_->device.crash_image_keeping({});
+            state_->device.snapshot().durable;
         MemStorage mem(image.size());
         std::copy(image.begin(), image.end(), mem.raw());
         std::vector<std::uint8_t> buffer;

@@ -3,27 +3,25 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
+#include <string_view>
 
 namespace pccheck::mc {
 
 namespace {
 
-/** Parse a non-negative integer with base @p base, advancing @p pos.
- *  Returns false when no digits were consumed, when strtoull took
- *  anything but digits of @p base (a sign, leading space or an `0x`
- *  prefix), or when the value overflows 64 bits. */
-bool parse_u64(const std::string& s, std::size_t& pos, int base,
-               std::uint64_t* out)
+/** Parse a non-negative decimal integer, advancing @p pos. Returns
+ *  false when no digits were consumed, when strtoull took anything but
+ *  digits (a sign or leading space), or when the value overflows 64
+ *  bits. */
+bool parse_u64(const std::string& s, std::size_t& pos, std::uint64_t* out)
 {
     const char* begin = s.c_str() + pos;
     char* end = nullptr;
     errno = 0;
-    const unsigned long long v = std::strtoull(begin, &end, base);
-    const auto is_digit = [base](char c) {
-        const auto u = static_cast<unsigned char>(c);
-        return base == 16 ? std::isxdigit(u) != 0 : std::isdigit(u) != 0;
+    const unsigned long long v = std::strtoull(begin, &end, 10);
+    const auto is_digit = [](char c) {
+        return std::isdigit(static_cast<unsigned char>(c)) != 0;
     };
     if (end == begin || errno != 0 ||
         !std::all_of(begin, static_cast<const char*>(end), is_digit)) {
@@ -39,7 +37,7 @@ bool parse_u64(const std::string& s, std::size_t& pos, int base,
 std::string encode_token(int num_threads,
                          const std::vector<std::uint8_t>& choices,
                          std::optional<std::size_t> crash_op,
-                         std::uint64_t crash_mask)
+                         const LineMask& crash_mask)
 {
     std::string out = "v1." + std::to_string(num_threads) + ".";
     std::size_t i = 0;
@@ -67,14 +65,6 @@ std::string encode_token(int num_threads,
     return out;
 }
 
-std::string crash_clause(std::size_t crash_op, std::uint64_t crash_mask)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "crash@%zu:0x%llx", crash_op,
-                  static_cast<unsigned long long>(crash_mask));
-    return buf;
-}
-
 std::optional<ReplayToken> decode_token(const std::string& text)
 {
     if (text.rfind("v1.", 0) != 0) {
@@ -82,7 +72,7 @@ std::optional<ReplayToken> decode_token(const std::string& text)
     }
     std::size_t pos = 3;
     std::uint64_t threads = 0;
-    if (!parse_u64(text, pos, 10, &threads) || threads == 0 || threads > 32 ||
+    if (!parse_u64(text, pos, &threads) || threads == 0 || threads > 32 ||
         pos >= text.size() || text[pos] != '.') {
         return std::nullopt;
     }
@@ -92,13 +82,13 @@ std::optional<ReplayToken> decode_token(const std::string& text)
     tok.num_threads = static_cast<int>(threads);
     while (pos < text.size() && text[pos] != '.') {
         std::uint64_t thread = 0;
-        if (!parse_u64(text, pos, 10, &thread) || thread >= threads) {
+        if (!parse_u64(text, pos, &thread) || thread >= threads) {
             return std::nullopt;
         }
         std::uint64_t run = 1;
         if (pos < text.size() && text[pos] == 'x') {
             ++pos;
-            if (!parse_u64(text, pos, 10, &run) || run == 0 ||
+            if (!parse_u64(text, pos, &run) || run == 0 ||
                 run > 1000000) {
                 return std::nullopt;
             }
@@ -120,17 +110,18 @@ std::optional<ReplayToken> decode_token(const std::string& text)
         }
         pos += 7;
         std::uint64_t op = 0;
-        if (!parse_u64(text, pos, 10, &op) || pos + 3 > text.size() ||
+        if (!parse_u64(text, pos, &op) || pos + 3 > text.size() ||
             text.compare(pos, 3, ":0x") != 0) {
             return std::nullopt;
         }
         pos += 3;
-        std::uint64_t mask = 0;
-        if (!parse_u64(text, pos, 16, &mask) || pos != text.size()) {
+        const std::optional<LineMask> mask =
+            LineMask::parse_hex(std::string_view(text).substr(pos));
+        if (!mask.has_value()) {
             return std::nullopt;
         }
         tok.crash_op = static_cast<std::size_t>(op);
-        tok.crash_mask = mask;
+        tok.crash_mask = *mask;
     }
     return tok;
 }

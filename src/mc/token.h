@@ -21,7 +21,8 @@
  *
  * — crash after storage operation 27, keeping the unflushed cache
  * lines selected by hex mask 0x1b (bit i = i-th unflushed line in
- * ascending offset order survives the crash). The deterministic
+ * ascending offset order survives the crash; storage/crash_capture.h
+ * formats it, and a mask may be wider than 64 bits). The deterministic
  * crash modes print the bare clause; the commit model's crash
  * failures append it to their schedule:
  *
@@ -36,6 +37,8 @@
 #include <string>
 #include <vector>
 
+#include "storage/crash_capture.h"
+
 namespace pccheck::mc {
 
 /** Decoded replay token. */
@@ -48,17 +51,14 @@ struct ReplayToken {
     std::optional<std::size_t> crash_op;
     /** Survivor mask over the unflushed lines at the crash point,
      *  ascending offset order (crash clause only). */
-    std::uint64_t crash_mask = 0;
+    LineMask crash_mask;
 };
 
 /** Encode a schedule (and optional crash clause) as a token string. */
 std::string encode_token(int num_threads,
                          const std::vector<std::uint8_t>& choices,
                          std::optional<std::size_t> crash_op = std::nullopt,
-                         std::uint64_t crash_mask = 0);
-
-/** The crash clause `crash@<op>:0x<mask>` naming one crash image. */
-std::string crash_clause(std::size_t crash_op, std::uint64_t crash_mask);
+                         const LineMask& crash_mask = {});
 
 /** Decode a token; std::nullopt on any syntax error. */
 std::optional<ReplayToken> decode_token(const std::string& text);

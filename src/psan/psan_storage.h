@@ -32,9 +32,9 @@
  *
  * Known limitation: CrashSimStorage::crash() mutates the device
  * beneath the wrapper, staling the shadow. The crash harnesses use
- * the non-mutating crash_image() capture, which is invisible to the
- * device interface and therefore safe; call on_format() after any
- * mutating reset.
+ * the non-mutating capture of storage/crash_capture.h, which is
+ * invisible to the device interface and therefore safe; call
+ * on_format() after any mutating reset.
  */
 
 #include <functional>

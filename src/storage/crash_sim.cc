@@ -58,6 +58,7 @@ CrashSimStorage::write(Bytes offset, const void* src, Bytes len)
             // the previous value; it must be persisted again.
             pending_.erase(line);
         }
+        applied();
     }
     if (post_op_hook_) {
         post_op_hook_(StorageOp{StorageOp::Kind::kWrite, offset, len});
@@ -100,6 +101,7 @@ CrashSimStorage::persist(Bytes offset, Bytes len)
                 pending_.insert(line);
             }
         }
+        applied();
     }
     if (post_op_hook_) {
         post_op_hook_(StorageOp{StorageOp::Kind::kPersist, offset, len});
@@ -116,6 +118,7 @@ CrashSimStorage::fence()
             commit_line(line);
         }
         pending_.clear();
+        applied();
     }
     if (post_op_hook_) {
         post_op_hook_(StorageOp{StorageOp::Kind::kFence, 0, 0});
@@ -144,59 +147,66 @@ CrashSimStorage::crash()
     volatile_ = durable_;
 }
 
-std::vector<std::uint8_t>
-CrashSimStorage::crash_image()
+void
+CrashSimStorage::set_capture_hook(CaptureHook hook)
 {
     MutexLock lock(mu_);
-    std::vector<std::uint8_t> image = durable_;
-    auto maybe_evict = [this, &image](
-                           const std::unordered_set<Bytes>& lines) {
-        for (Bytes line : lines) {
-            if (rng_.chance(eviction_probability_)) {
-                const Bytes start = line * line_size_;
-                const Bytes len = std::min(line_size_, size_ - start);
-                std::memcpy(image.data() + start,
-                            volatile_.data() + start, len);
-            }
-        }
-    };
-    maybe_evict(pending_);
-    maybe_evict(dirty_);
-    return image;
+    capture_hook_ = std::move(hook);
+    show_state();
 }
 
-std::vector<Bytes>
-CrashSimStorage::unflushed_lines() const
+CrashSnapshot
+CrashSimStorage::snapshot() const
 {
     MutexLock lock(mu_);
-    std::vector<Bytes> lines;
-    lines.reserve(dirty_.size() + pending_.size());
-    lines.insert(lines.end(), dirty_.begin(), dirty_.end());
-    lines.insert(lines.end(), pending_.begin(), pending_.end());
-    std::sort(lines.begin(), lines.end());
-    return lines;
+    return snapshot_locked();
 }
 
-std::vector<std::uint8_t>
-CrashSimStorage::crash_image_keeping(const std::vector<Bytes>& lines) const
+std::size_t
+CrashSimStorage::ops() const
 {
     MutexLock lock(mu_);
-    std::vector<std::uint8_t> image = durable_;
-    for (Bytes line : lines) {
-        PCCHECK_CHECK_MSG(dirty_.contains(line) || pending_.contains(line),
-                          "crash_image_keeping: line " << line
-                                                       << " is not unflushed");
-        const Bytes start = line * line_size_;
-        const Bytes len = std::min(line_size_, size_ - start);
-        std::memcpy(image.data() + start, volatile_.data() + start, len);
-    }
-    return image;
+    return ops_;
 }
 
 void
-CrashSimStorage::set_post_op_hook(std::function<void(const StorageOp&)> hook)
+CrashSimStorage::applied()
 {
-    post_op_hook_ = std::move(hook);
+    ++ops_;
+    show_state();
+}
+
+void
+CrashSimStorage::show_state() const
+{
+    if (capture_hook_) {
+        // The copy runs inside the hook, under the caller's lock hold.
+        capture_hook_(ops_, [this]() PCCHECK_NO_THREAD_SAFETY_ANALYSIS {
+            return snapshot_locked();
+        });
+    }
+}
+
+CrashSnapshot
+CrashSimStorage::snapshot_locked() const
+{
+    CrashSnapshot snap;
+    snap.op_index = ops_;
+    snap.line_size = line_size_;
+    snap.durable = durable_;
+    snap.lines.reserve(dirty_.size() + pending_.size());
+    snap.lines.insert(snap.lines.end(), dirty_.begin(), dirty_.end());
+    snap.lines.insert(snap.lines.end(), pending_.begin(), pending_.end());
+    std::sort(snap.lines.begin(), snap.lines.end());
+    snap.line_data.reserve(snap.lines.size());
+    for (Bytes line : snap.lines) {
+        const auto start =
+            volatile_.begin() + static_cast<std::ptrdiff_t>(line * line_size_);
+        const Bytes len = std::min(line_size_, size_ - line * line_size_);
+        snap.line_data.emplace_back(start,
+                                    start + static_cast<std::ptrdiff_t>(len));
+    }
+    return snap;
 }
 
 std::size_t

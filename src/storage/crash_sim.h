@@ -33,6 +33,25 @@
 
 namespace pccheck {
 
+/**
+ * One state of a CrashSimStorage, as a power failure would find it:
+ * what is durable, plus the volatile content of every line that has
+ * not durably reached the media yet (storage/crash_capture.h builds
+ * crash images from it).
+ */
+struct CrashSnapshot {
+    /** Which state this is: the ops the device had applied.
+     *  SnapshotRecorder renumbers its states from 0 (see there). */
+    std::size_t op_index = 0;
+    Bytes line_size = 0;
+    /** Durable image: what survives if no unflushed line does. */
+    std::vector<std::uint8_t> durable;
+    /** Unflushed (dirty or fence-pending) lines, ascending. */
+    std::vector<Bytes> lines;
+    /** Volatile content of each line, aligned with `lines`. */
+    std::vector<std::vector<std::uint8_t>> line_data;
+};
+
 /** Storage with volatile/durable shadow images and adversarial crash. */
 class CrashSimStorage final : public StorageDevice {
   public:
@@ -46,17 +65,26 @@ class CrashSimStorage final : public StorageDevice {
     CrashSimStorage(Bytes size, StorageKind kind, std::uint64_t seed = 1,
                     double eviction_probability = 0.5);
 
+    /** See set_capture_hook(). */
+    using CaptureHook = std::function<void(
+        std::size_t op_index, const std::function<CrashSnapshot()>& copy)>;
+
     Bytes size() const override { return size_; }
     StorageStatus write(Bytes offset, const void* src, Bytes len) override;
     StorageStatus read(Bytes offset, void* dst, Bytes len) const override;
     StorageStatus persist(Bytes offset, Bytes len) override;
     StorageStatus fence() override;
     StorageKind kind() const override { return kind_; }
-    /** Alias for set_post_op_hook (StorageDevice observation API). */
+    /**
+     * Observation hook, invoked after every write/persist/fence with
+     * the device lock RELEASED. Single hook; pass nullptr to clear.
+     * Not thread-safe against concurrent storage ops: set it before
+     * the device is shared.
+     */
     void set_observe_hook(
         std::function<void(const StorageOp&)> hook) override
     {
-        set_post_op_hook(std::move(hook));
+        post_op_hook_ = std::move(hook);
     }
 
     /**
@@ -67,43 +95,23 @@ class CrashSimStorage final : public StorageDevice {
     void crash();
 
     /**
-     * What the durable media would hold if the machine lost power at
-     * this instant: the durable image with every dirty/pending line
-     * independently evicted with the configured probability. Unlike
-     * crash(), does NOT mutate the device (beyond advancing the RNG),
-     * so the crash-sweep harness can capture the post-crash state at
-     * an arbitrary operation index while the protocol threads keep
-     * running, then recover from the copy.
+     * Installs @p hook (nullptr clears it). The hook sees every state
+     * of the device from now on: the current one, in the same lock
+     * hold, then the one after each write, persist and fence, called
+     * with the device lock still held. Ops on other threads wait
+     * while it runs, so each state is exactly the one its op left,
+     * in the order the lock serialized the ops. It gets the state's
+     * index (ops applied since construction) and a function that
+     * copies the state out; it must not call the device (the lock is
+     * not recursive). storage/crash_capture.h builds on it.
      */
-    std::vector<std::uint8_t> crash_image();
+    void set_capture_hook(CaptureHook hook);
 
-    /**
-     * The crash-enumeration interface (model checker, see
-     * docs/MODEL_CHECKING.md): lines that have NOT durably reached
-     * the media — dirty plus fence-pending — in ascending line order.
-     * A real crash preserves an arbitrary subset of them.
-     */
-    std::vector<Bytes> unflushed_lines() const;
+    /** The current state, copied in one lock hold. */
+    CrashSnapshot snapshot() const;
 
-    /**
-     * Deterministic variant of crash_image(): the durable image with
-     * exactly the given unflushed @p lines (values from
-     * unflushed_lines()) taken from the volatile image — one member
-     * of the crash-state set, chosen by the enumerator instead of the
-     * RNG. Does not mutate the device.
-     */
-    std::vector<std::uint8_t> crash_image_keeping(
-        const std::vector<Bytes>& lines) const;
-
-    /**
-     * Observation hook, invoked after every write/persist/fence with
-     * the device lock RELEASED (the hook may call back into const
-     * accessors like unflushed_lines()). Single hook; pass nullptr to
-     * clear. Used by the crash-state enumerator to index crash
-     * points. Not thread-safe against concurrent storage ops — set it
-     * before handing the device to the model.
-     */
-    void set_post_op_hook(std::function<void(const StorageOp&)> hook);
+    /** Write, persist and fence ops applied since construction. */
+    std::size_t ops() const;
 
     /** Number of lines currently dirty (written, not yet persisted). */
     std::size_t dirty_lines() const;
@@ -117,6 +125,10 @@ class CrashSimStorage final : public StorageDevice {
   private:
     Bytes line_of(Bytes offset) const { return offset / line_size_; }
     void commit_line(Bytes line) PCCHECK_REQUIRES(mu_);
+    CrashSnapshot snapshot_locked() const PCCHECK_REQUIRES(mu_);
+    /** Counts an applied op and shows its state to the capture hook. */
+    void applied() PCCHECK_REQUIRES(mu_);
+    void show_state() const PCCHECK_REQUIRES(mu_);
 
     StorageKind kind_;
     Bytes line_size_;
@@ -132,7 +144,9 @@ class CrashSimStorage final : public StorageDevice {
         PCCHECK_GUARDED_BY(mu_);  ///< persisted, awaiting fence
     Rng rng_ PCCHECK_GUARDED_BY(mu_);
     double eviction_probability_;
-    /** Set once before the model runs; called outside mu_. */
+    std::size_t ops_ PCCHECK_GUARDED_BY(mu_) = 0;
+    CaptureHook capture_hook_ PCCHECK_GUARDED_BY(mu_);
+    /** Set before the device is shared; called outside mu_. */
     std::function<void(const StorageOp&)> post_op_hook_;
 };
 

@@ -28,7 +28,7 @@ TEST(FaultPlanTest, ParsesFullGrammar)
 {
     const FaultPlan plan = FaultPlan::parse(
         "storage.persist:transient@p=0.01;"
-        "*:crash@nth=1234;"
+        "*:node_loss@nth=1234;"
         "storage.write:stall=0.005@every=100,limit=3;"
         "storage.fence:permanent@window=10-20");
     ASSERT_EQ(plan.rules().size(), 4u);
@@ -41,7 +41,7 @@ TEST(FaultPlanTest, ParsesFullGrammar)
 
     const FaultRule& b = plan.rules()[1];
     EXPECT_EQ(b.point, "*");
-    EXPECT_EQ(b.action, FaultAction::kCrash);
+    EXPECT_EQ(b.action, FaultAction::kNodeLoss);
     EXPECT_EQ(b.trigger, FaultTrigger::kNthOp);
     EXPECT_EQ(b.nth, 1234u);
 
@@ -90,6 +90,8 @@ TEST(FaultPlanTest, RejectsMalformedSpecs)
     EXPECT_THROW(FaultPlan::parse("nocolon@nth=1"), FatalError);
     EXPECT_THROW(FaultPlan::parse("p:transient"), FatalError);
     EXPECT_THROW(FaultPlan::parse("p:explode@nth=1"), FatalError);
+    // Crash states come from the device (storage/crash_capture.h).
+    EXPECT_THROW(FaultPlan::parse("*:crash@nth=1"), FatalError);
     EXPECT_THROW(FaultPlan::parse("p:stall@nth=1"), FatalError);
     EXPECT_THROW(FaultPlan::parse("p:transient=3@nth=1"), FatalError);
     EXPECT_THROW(FaultPlan::parse("p:transient@sometimes=1"), FatalError);
@@ -198,23 +200,6 @@ TEST(FaultInjectorTest, PointFilterAndFirstMatchWins)
     EXPECT_TRUE(injector.on_op("storage.write").is_transient());
     // Persists match the first (permanent) rule — first match wins.
     EXPECT_TRUE(injector.on_op("storage.persist").is_permanent());
-}
-
-TEST(FaultInjectorTest, CrashFiresHandlerAndOpProceeds)
-{
-    FaultRule rule;
-    rule.action = FaultAction::kCrash;
-    rule.trigger = FaultTrigger::kNthOp;
-    rule.nth = 2;
-    rule.limit = 1;
-    FaultInjector injector(1, FaultPlan{}.add(rule));
-    int handler_calls = 0;
-    injector.set_crash_handler([&handler_calls] { ++handler_calls; });
-    EXPECT_TRUE(injector.on_op("storage.write").ok());
-    EXPECT_TRUE(injector.on_op("storage.write").ok());  // crash fires
-    EXPECT_TRUE(injector.on_op("storage.write").ok());
-    EXPECT_EQ(handler_calls, 1);
-    EXPECT_EQ(injector.crashes(), 1u);
 }
 
 TEST(FaultyStorageTest, InjectedErrorNeverTouchesInnerDevice)

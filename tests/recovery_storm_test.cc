@@ -1,13 +1,15 @@
 /**
  * @file
- * Recovery-under-fire storm: a seeded sweep that arms bit-rot,
- * unreadable-sector, and crash faults WHILE the RecoveryPlanner is
- * running, then asserts the tentpole guarantees of docs/RECOVERY.md:
+ * Recovery-under-fire storm: a seeded sweep that arms bit-rot and
+ * unreadable-sector faults WHILE the RecoveryPlanner is running, keeps
+ * one crash state of that recovery (storage/crash_capture.h), then
+ * asserts the tentpole guarantees of docs/RECOVERY.md:
  *
  *   - armored recovery (local arena + peer replica) restores the
  *     newest checkpoint byte-exactly no matter which reads lie;
- *   - recovery is re-entrant: a crash image captured mid-recovery
- *     (mid-quarantine, mid-salvage, mid-publish) recovers again, and
+ *   - recovery is re-entrant: a crash image of a state the recovery
+ *     reached (mid-quarantine, mid-salvage, mid-publish) recovers
+ *     again, and
  *     repeated recoveries reach a fixpoint — same counter, same
  *     bytes, byte-identical media;
  *   - quarantine accounting: every slot the planner quarantines is
@@ -22,8 +24,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
@@ -34,12 +34,13 @@
 #include "faults/fault.h"
 #include "faults/faulty_storage.h"
 #include "net/network.h"
-#include "psan/psan.h"
 #include "remote/replica_source.h"
 #include "remote/replica_store.h"
 #include "remote/replication.h"
+#include "storage/crash_capture.h"
 #include "storage/crash_sim.h"
 #include "storage/mem_storage.h"
+#include "sweep_support.h"
 #include "util/check.h"
 #include "util/crc32.h"
 #include "util/logging.h"
@@ -51,30 +52,6 @@ namespace {
 constexpr Bytes kState = 4 * 1024;
 constexpr std::uint32_t kSlots = 2;
 constexpr std::uint64_t kCheckpoints = 3;
-
-int
-sweep_seeds(int fallback)
-{
-    const char* env = std::getenv("PCCHECK_RECOVERY_STORM_SEEDS");
-    if (env != nullptr && std::atoi(env) > 0) {
-        return std::atoi(env);
-    }
-    return fallback;
-}
-
-/** Asserts the enclosing scope reported no psan violations. */
-class PsanCleanGuard {
-  public:
-    PsanCleanGuard() : before_(psan::Runtime::global().violation_count()) {}
-    ~PsanCleanGuard()
-    {
-        EXPECT_EQ(psan::Runtime::global().violation_count(), before_)
-            << "storm must be psan-clean";
-    }
-
-  private:
-    std::uint64_t before_;
-};
 
 std::vector<std::uint8_t>
 image_for(std::uint64_t counter)
@@ -181,50 +158,67 @@ quarantine_set(StorageDevice& device)
     return SlotStore::open(device).quarantined_slots();
 }
 
+/** Arms @p seed's weather — probabilistic bit rot and bad sectors on
+ *  every read — and returns the seed of its crash point. */
+std::uint64_t
+arm_weather(Storm& storm, std::uint64_t seed)
+{
+    Rng pick(seed * 0x9E3779B97F4A7C15ULL);
+    const std::uint64_t crash_seed = pick.next_u64();
+    const char* weather[] = {
+        "storage.read:bitflip=0x01@p=0.25",
+        "storage.read:unreadable@p=0.2",
+        "storage.read:bitflip=0x80@p=0.1;storage.read:unreadable@p=0.1",
+    };
+    storm.injector->set_plan(FaultPlan::parse(weather[pick.next_below(3)]));
+    return crash_seed;
+}
+
+/**
+ * Local-only recovery from @p crash_image must either serve a real
+ * checkpoint byte-exactly, or come up empty ONLY because the storm had
+ * durably quarantined a slot (a transient read lie can quarantine the
+ * good slot — the accounted, repairable case the peer path and the
+ * scrubber exist for).
+ */
+void
+expect_local_copy_or_quarantine(const Storm& storm,
+                                const std::vector<std::uint8_t>& crash_image)
+{
+    const auto dead = reboot(crash_image);
+    std::vector<std::uint8_t> local_bytes;
+    RecoveryPlanner local(dead.get());
+    const auto local_result = local.recover(&local_bytes);
+    if (local_result.has_value()) {
+        EXPECT_GE(local_result->result.counter, kCheckpoints - 1);
+        EXPECT_LE(local_result->result.counter, kCheckpoints);
+        EXPECT_EQ(local_bytes, storm.expected[local_result->result.counter]);
+    } else {
+        // Unexplained loss would be a durability bug; loss with a
+        // quarantine record is the documented contract.
+        EXPECT_FALSE(quarantine_set(*reboot(crash_image)).empty())
+            << "crash image lost every local checkpoint without a "
+               "quarantine record";
+    }
+}
+
 TEST(RecoveryStormTest, ArmoredRecoverySurvivesReadFaultsAndCrashes)
 {
     PsanCleanGuard psan_clean;
-    const int seeds = sweep_seeds(64);
-    int crashes_captured = 0;
+    const int seeds = sweep_seeds("PCCHECK_RECOVERY_STORM_SEEDS", 64);
+    int crashed = 0;
     int storms_quarantined = 0;
     for (int s = 1; s <= seeds; ++s) {
         const std::uint64_t seed = 7000 + static_cast<std::uint64_t>(s);
         SCOPED_TRACE("seed " + std::to_string(seed));
         Storm storm = make_storm(seed);
 
-        // Arm the weather: probabilistic bit rot and bad sectors on
-        // every read, plus a crash trigger at a seed-chosen op index.
-        // kCrash snapshots the adversarial media image and lets the
-        // op proceed, so one run tests both "recovery finishes under
+        // Arm the weather. Every state the recovery reaches may be the
+        // crash point, so one run tests both "recovery finishes under
         // fire" and "recovery restarts from a mid-recovery crash".
-        Rng pick(seed * 0x9E3779B97F4A7C15ULL);
-        FaultPlan plan;
-        {
-            // The op counter is global (setup publishes already spent
-            // some); aim the trigger inside the recovery run itself.
-            FaultRule crash;
-            crash.point = "*";
-            crash.action = FaultAction::kCrash;
-            crash.trigger = FaultTrigger::kNthOp;
-            crash.nth = storm.injector->ops() + 1 + pick.next_below(12);
-            crash.limit = 1;
-            plan.add(crash);
-        }
-        const char* weather[] = {
-            "storage.read:bitflip=0x01@p=0.25",
-            "storage.read:unreadable@p=0.2",
-            "storage.read:bitflip=0x80@p=0.1;storage.read:unreadable@p=0.1",
-        };
-        const FaultPlan noise =
-            FaultPlan::parse(weather[pick.next_below(3)]);
-        for (const FaultRule& rule : noise.rules()) {
-            plan.add(rule);
-        }
-        std::vector<std::uint8_t> crash_image;
-        CrashSimStorage* media = storm.media;
-        storm.injector->set_crash_handler(
-            [&crash_image, media] { crash_image = media->crash_image(); });
-        storm.injector->set_plan(std::move(plan));
+        const std::uint64_t crash_seed = arm_weather(storm, seed);
+        const std::size_t mark = storm.media->ops();
+        CrashPointSampler sampler(*storm.media, crash_seed);
 
         // Storm recovery: the peer always holds the newest image, so
         // no matter which local reads lie the planner must restore it.
@@ -236,9 +230,9 @@ TEST(RecoveryStormTest, ArmoredRecoverySurvivesReadFaultsAndCrashes)
 
         // Calm the weather; everything from here on reads true.
         storm.injector->set_plan(FaultPlan());
-        if (!crash_image.empty()) {
-            ++crashes_captured;
-        }
+        const CrashPoint point = sampler.take();
+        ASSERT_TRUE(is_own_crash_point(point, mark)) << point.clause();
+        ++crashed;
 
         // Quarantine accounting: only the newest local candidate is
         // ever quarantined (at most one per run), a successful salvage
@@ -288,34 +282,13 @@ TEST(RecoveryStormTest, ArmoredRecoverySurvivesReadFaultsAndCrashes)
         // Re-entrancy from the mid-recovery crash image: whatever the
         // quarantine/salvage sequence was doing when the crash hit, a
         // fresh process must restore K via the peer and reach the same
-        // fixpoint. Local-only recovery must either serve a real
-        // checkpoint byte-exactly, or come up empty ONLY because the
-        // storm had durably quarantined a slot (a transient read lie
-        // can quarantine the good slot — the accounted, repairable
-        // case the peer path and the scrubber exist for).
-        if (!crash_image.empty()) {
-            MemStorage dead(crash_image.size());
-            std::memcpy(dead.raw(), crash_image.data(),
-                        crash_image.size());
-            std::vector<std::uint8_t> local_bytes;
-            RecoveryPlanner local(&dead);
-            const auto local_result = local.recover(&local_bytes);
-            if (local_result.has_value()) {
-                EXPECT_GE(local_result->result.counter,
-                          kCheckpoints - 1);
-                EXPECT_LE(local_result->result.counter, kCheckpoints);
-                EXPECT_EQ(local_bytes,
-                          storm.expected[local_result->result.counter]);
-            } else {
-                // Unexplained loss would be a durability bug; loss
-                // with a quarantine record is the documented contract.
-                MemStorage fresh(crash_image.size());
-                std::memcpy(fresh.raw(), crash_image.data(),
-                            crash_image.size());
-                EXPECT_FALSE(quarantine_set(fresh).empty())
-                    << "crash image lost every local checkpoint "
-                       "without a quarantine record";
-            }
+        // fixpoint, and local-only recovery must keep its contract.
+        {
+            SCOPED_TRACE(point.clause());
+            const std::vector<std::uint8_t> crash_image = point.image();
+            expect_local_copy_or_quarantine(storm, crash_image);
+            const auto dead_owned = reboot(crash_image);
+            MemStorage& dead = *dead_owned;
 
             std::vector<std::uint8_t> armored_bytes;
             const auto armored =
@@ -335,24 +308,59 @@ TEST(RecoveryStormTest, ArmoredRecoverySurvivesReadFaultsAndCrashes)
         }
     }
     // The sweep must actually have exercised both hard paths.
-    EXPECT_GT(crashes_captured, 0);
+    EXPECT_EQ(crashed, seeds);
     EXPECT_GT(storms_quarantined, 0);
-    LOG_INFO("recovery storm: " << seeds << " seeds, "
-                                << crashes_captured << " crash images, "
-                                << storms_quarantined
+    LOG_INFO("recovery storm: " << seeds << " seeds, " << crashed
+                                << " crash images, " << storms_quarantined
                                 << " storms quarantined a slot");
+}
+
+TEST(RecoveryStormTest, EveryStateOfAStormyRecoveryKeepsTheLocalContract)
+{
+    PsanCleanGuard psan_clean;
+    // The local-only contract at every state the armored recovery
+    // passes through, not just the one the sweep keeps, under a few
+    // masks each. A salvage that a read lie misleads into overwriting
+    // the last good local copy must hold a quarantine meanwhile
+    // (seeds 7028, 7044 and 7046 reach that case).
+    for (int s = 1; s <= 64; ++s) {
+        const std::uint64_t seed = 7000 + static_cast<std::uint64_t>(s);
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Storm storm = make_storm(seed);
+        arm_weather(storm, seed);
+        CrashTrace trace;
+        {
+            SnapshotRecorder recorder(*storm.media, &trace);
+            std::vector<std::uint8_t> bytes;
+            ASSERT_TRUE(
+                armored_recover(storm, *storm.device, &bytes).has_value());
+        }
+        for (const CrashSnapshot& snap : trace) {
+            Rng draws(seed + snap.op_index);
+            const std::size_t lines = snap.lines.size();
+            std::vector<LineMask> masks = {LineMask(), LineMask::all(lines)};
+            for (int k = 0; k < 6; ++k) {
+                masks.push_back(LineMask::random(draws, lines));
+            }
+            for (const LineMask& mask : masks) {
+                SCOPED_TRACE(crash_clause(snap.op_index, mask));
+                expect_local_copy_or_quarantine(storm,
+                                                materialize(snap, mask));
+            }
+        }
+    }
 }
 
 TEST(RecoveryStormTest, LocalOnlyStormNeverRegressesPastLastGood)
 {
     PsanCleanGuard psan_clean;
-    const int seeds = sweep_seeds(64);
+    const int seeds = sweep_seeds("PCCHECK_RECOVERY_STORM_SEEDS", 64);
     for (int s = 1; s <= seeds; ++s) {
         const std::uint64_t seed = 9000 + static_cast<std::uint64_t>(s);
         SCOPED_TRACE("seed " + std::to_string(seed));
         Storm storm = make_storm(seed);
 
-        // Transient weather only (no crash trigger, no peer), with
+        // Transient weather only (no crash point, no peer), with
         // quarantine disabled: a planner that cannot write must never
         // durably regress anything, so whatever it returns is a real
         // checkpoint's exact bytes and the pre-storm floor of K-1

@@ -6,9 +6,10 @@
  * checkpoint whose counter is >= the peers' durable-publish watermark,
  * CRC-valid and stamp-verified, and resumes training on it.
  *
- * Like crash_sweep_test.cc, a calibration run measures the fault-op
- * stream (storage ops + net.transfer ops share one injector). Each
- * seed picks a loss offset inside it and arms the loss that many ops
+ * A calibration run measures the fault-op stream (storage ops +
+ * net.transfer ops share one injector). Each node loss is a live
+ * fault, not a crash state, so it stays on the injector: each seed
+ * picks a loss offset inside the stream and arms the loss that many ops
  * after its own mark: the op count once the faulted checkpointer is
  * set up. The count before the mark varies from run to run (a
  * checkpoint that loses the commit race publishes nothing), so an
@@ -21,7 +22,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -35,7 +35,7 @@
 #include "remote/replica_store.h"
 #include "remote/replication.h"
 #include "storage/mem_storage.h"
-#include "trainsim/models.h"
+#include "sweep_support.h"
 #include "trainsim/training_loop.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -49,22 +49,6 @@ constexpr int kSlots = kConcurrent + 1;
 constexpr std::uint64_t kWarmupIters = 4;
 constexpr std::uint64_t kMainIters = 14;
 constexpr std::uint64_t kInterval = 2;
-
-GpuConfig
-fast_gpu()
-{
-    GpuConfig config;
-    config.memory_bytes = 2 * kMiB;
-    config.pcie_bytes_per_sec = 0;
-    return config;
-}
-
-ScaledModel
-tiny_model()
-{
-    return scale_model(model_by_name("vgg16"),
-                       ScaleFactors{600.0, 20000.0});
-}
 
 struct SeedRun {
     /** Ops once the faulted checkpointer is set up; the loss is armed
@@ -180,16 +164,6 @@ run_training(std::uint64_t seed, std::uint64_t loss_offset)
     return out;
 }
 
-int
-sweep_seeds(int fallback)
-{
-    const char* env = std::getenv("PCCHECK_REPLICA_SWEEP_SEEDS");
-    if (env != nullptr && std::atoi(env) > 0) {
-        return std::atoi(env);
-    }
-    return fallback;
-}
-
 TEST(ReplicaRecoverySweepTest, PeersServeQuorumWatermarkAtAnyLossPoint)
 {
     // Calibrate the length of the op stream after the mark once.
@@ -197,7 +171,7 @@ TEST(ReplicaRecoverySweepTest, PeersServeQuorumWatermarkAtAnyLossPoint)
     ASSERT_GT(calib.ops_total, calib.mark);
     ASSERT_FALSE(calib.lost);
 
-    const int seeds = sweep_seeds(64);
+    const int seeds = sweep_seeds("PCCHECK_REPLICA_SWEEP_SEEDS", 64);
     int lost = 0;
     for (int s = 1; s <= seeds; ++s) {
         const std::uint64_t seed = 3000 + static_cast<std::uint64_t>(s);

@@ -2,12 +2,17 @@
  * @file
  * Multi-tenant kill-storm sweep (docs/SERVICE.md): many seeds of
  * concurrent tenant traffic over sharded CrashSimStorage backends
- * while seed-chosen kill_tenant / kill_backend / crash faults fire
- * mid-storm. At the capture point every tenant — killed or surviving,
- * on a dead backend or a live one — must statically resolve from the
- * raw crash images to a checkpoint at least as new as its durable
- * watermark, with no cross-tenant bleed (each tenant stamps its own
- * iteration namespace, so a leaked record fails verification).
+ * while seed-chosen kill_tenant / kill_backend faults fire mid-storm.
+ * Each shard keeps one crash state of the storm, drawn uniformly from
+ * its state once the tenants are attached and after each of its
+ * storage ops since (storage/crash_capture.h), with the watermarks
+ * read in the same instant; a tenant recovers from its own shard
+ * only, so that is one crash instant as each tenant sees it. Every
+ * tenant — killed or surviving, on a dead backend or a live one —
+ * must statically resolve from the crash images to a checkpoint at
+ * least as new as its durable watermark, with no cross-tenant bleed
+ * (each tenant stamps its own iteration namespace, so a leaked record
+ * fails verification).
  *
  * Runs 32 seeds by default; set PCCHECK_SERVICE_SWEEP_SEEDS to widen.
  * Must stay psan-clean under PCCHECK_PSAN=1.
@@ -15,8 +20,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <thread>
@@ -24,32 +27,16 @@
 
 #include "faults/fault.h"
 #include "faults/faulty_storage.h"
-#include "psan/psan.h"
 #include "service/service.h"
 #include "service/service_config.h"
+#include "storage/crash_capture.h"
 #include "storage/crash_sim.h"
-#include "storage/mem_storage.h"
+#include "sweep_support.h"
 #include "trainsim/training_state.h"
-#include "util/annotations.h"
 #include "util/rng.h"
 
 namespace pccheck {
 namespace {
-
-/** Asserts the enclosing scope reported no psan violations. Vacuous
- *  when the sanitizer is off (docs/PSAN.md). */
-class PsanCleanGuard {
-  public:
-    PsanCleanGuard() : before_(psan::Runtime::global().violation_count()) {}
-    ~PsanCleanGuard()
-    {
-        EXPECT_EQ(psan::Runtime::global().violation_count(), before_)
-            << "sweep must be psan-clean";
-    }
-
-  private:
-    std::uint64_t before_;
-};
 
 /** Tenant ids routing to both shards (see service_shard_of golden
  *  values in service_test.cc): 2 and 1000 land on shard 0; 0, 1 and 3
@@ -89,54 +76,26 @@ iter_base(std::uint64_t tenant)
     return tenant * 100000 + 1000;
 }
 
-int
-sweep_seeds(int fallback)
-{
-    const char* env = std::getenv("PCCHECK_SERVICE_SWEEP_SEEDS");
-    if (env != nullptr && std::atoi(env) > 0) {
-        return std::atoi(env);
-    }
-    return fallback;
-}
-
-/** Consistent capture of one storm: watermarks first, then the
- *  adversarial durable images — durability is monotonic (a recycled
- *  record is only destroyed once a newer one is durable), so recovery
- *  from a later image can only be at or past an earlier watermark. */
-struct Capture {
-    bool taken = false;
+/** One shard's crash point and every tenant's watermark at it. */
+struct ShardCrash {
     std::map<std::uint64_t, TenantWatermark> watermarks;
-    std::vector<std::vector<std::uint8_t>> images;  ///< one per shard
+    CrashPoint point;
 };
-
-void
-take_capture(const ServiceConfig& config, const CheckpointService& service,
-             const std::vector<CrashSimStorage*>& media, Capture* out)
-{
-    for (const TenantSpec& spec : config.tenants) {
-        out->watermarks[spec.id] = service.watermark(spec.id);
-    }
-    out->images.clear();
-    for (CrashSimStorage* device : media) {
-        out->images.push_back(device->crash_image());
-    }
-    out->taken = true;
-}
 
 TEST(ServiceSweepTest, EveryTenantRecoversToItsWatermarkUnderKillStorms)
 {
     PsanCleanGuard psan_clean;
-    const int seeds = sweep_seeds(32);
+    const int seeds = sweep_seeds("PCCHECK_SERVICE_SWEEP_SEEDS", 32);
     const ServiceConfig config = sweep_config();
 
-    int crashes_fired = 0;
+    int crashed = 0;
     for (int s = 1; s <= seeds; ++s) {
         const std::uint64_t seed = 9000 + static_cast<std::uint64_t>(s);
         SCOPED_TRACE("seed " + std::to_string(seed));
         auto injector = std::make_shared<FaultInjector>(seed);
 
         // Sharded backends: CrashSimStorage (adversarial durable
-        // images) behind FaultyStorage (the kill/crash triggers).
+        // images) behind FaultyStorage (the kill triggers).
         std::vector<CrashSimStorage*> media;
         std::vector<std::unique_ptr<FaultyStorage>> faulty;
         std::vector<StorageDevice*> backends;
@@ -153,29 +112,14 @@ TEST(ServiceSweepTest, EveryTenantRecoversToItsWatermarkUnderKillStorms)
         CheckpointService service(config, backends);
         service.arm_faults(*injector);
 
-        Capture capture;
-        Mutex capture_mu;
-        injector->set_crash_handler([&] {
-            MutexLock lock(capture_mu);
-            take_capture(config, service, media, &capture);
-        });
-
-        // Seed-chosen storm: one tenant kill, one backend kill on half
-        // the seeds, one crash capture — all mid-traffic, addressed
-        // past the ops construction already consumed.
+        // Seed-chosen storm: one tenant kill and, on half the seeds,
+        // one backend kill — all mid-traffic, addressed past the ops
+        // construction already consumed.
         Rng pick(seed * 0x9E3779B97F4A7C15ULL);
+        const std::uint64_t crash_seed = pick.next_u64();
         const std::uint64_t setup_ops = injector->ops();
         const std::uint64_t all_tenants[] = {0, 1, 2, 3, 1000};
         FaultPlan plan;
-        {
-            FaultRule crash;
-            crash.point = "*";
-            crash.action = FaultAction::kCrash;
-            crash.trigger = FaultTrigger::kNthOp;
-            crash.nth = setup_ops + 60 + pick.next_below(400);
-            crash.limit = 1;
-            plan.add(crash);
-        }
         {
             FaultRule kill;
             kill.point = "*";
@@ -213,6 +157,25 @@ TEST(ServiceSweepTest, EveryTenantRecoversToItsWatermarkUnderKillStorms)
             sessions.push_back(
                 service.attach_tenant(spec.id, *states.back()));
         }
+
+        // Each shard keeps one crash point of the storm. The
+        // watermarks are read in the same instant, under the shard's
+        // device lock; the service reads them without waiting on any
+        // device, and durability is monotonic, so recovery from that
+        // state must reach them.
+        std::vector<ShardCrash> crashes(config.shards);
+        std::vector<std::size_t> marks;
+        std::vector<std::unique_ptr<CrashPointSampler>> samplers;
+        for (int shard = 0; shard < config.shards; ++shard) {
+            ShardCrash& crash = crashes[shard];
+            marks.push_back(media[shard]->ops());
+            samplers.push_back(std::make_unique<CrashPointSampler>(
+                *media[shard], crash_seed + shard, [&config, &service, &crash] {
+                    for (const TenantSpec& spec : config.tenants) {
+                        crash.watermarks[spec.id] = service.watermark(spec.id);
+                    }
+                }));
+        }
         std::vector<std::thread> threads;
         for (std::size_t i = 0; i < sessions.size(); ++i) {
             threads.emplace_back([&, i] {
@@ -234,32 +197,32 @@ TEST(ServiceSweepTest, EveryTenantRecoversToItsWatermarkUnderKillStorms)
         }
         service.finish();
 
-        // A tail crash index can fall past the end of the op stream;
-        // then the end-of-storm state is the capture point instead.
-        {
-            MutexLock lock(capture_mu);
-            if (capture.taken) {
-                ++crashes_fired;
-            } else {
-                take_capture(config, service, media, &capture);
-            }
-        }
-
-        // Recovery: every tenant resolves from the raw images alone.
+        // Recovery: every tenant resolves from the crash images alone.
         std::vector<std::unique_ptr<MemStorage>> dead;
         std::vector<StorageDevice*> dead_backends;
-        for (const std::vector<std::uint8_t>& image : capture.images) {
-            dead.push_back(std::make_unique<MemStorage>(image.size()));
-            std::memcpy(dead.back()->raw(), image.data(), image.size());
+        bool own_points = true;
+        for (int shard = 0; shard < config.shards; ++shard) {
+            CrashPoint& point = crashes[shard].point;
+            point = samplers[shard]->take();
+            const bool own = is_own_crash_point(point, marks[shard]);
+            EXPECT_TRUE(own) << "shard " << shard << " " << point.clause();
+            own_points = own_points && own;
+            dead.push_back(reboot(point.image()));
             dead_backends.push_back(dead.back().get());
         }
+        if (own_points) {
+            ++crashed;
+        }
         for (const TenantSpec& spec : config.tenants) {
-            const TenantWatermark wm = capture.watermarks[spec.id];
+            const ShardCrash& crash =
+                crashes[service_shard_of(spec.id, config.shards)];
+            SCOPED_TRACE(crash.point.clause());
+            const TenantWatermark wm = crash.watermarks.at(spec.id);
             const TenantRecovery recovery =
                 CheckpointService::resolve_tenant(config, dead_backends,
                                                   spec.id);
             if (!wm.valid) {
-                continue;  // nothing was durable yet at the capture
+                continue;  // nothing was durable yet at the crash
             }
             ASSERT_TRUE(recovery.found)
                 << "tenant " << spec.id
@@ -283,8 +246,7 @@ TEST(ServiceSweepTest, EveryTenantRecoversToItsWatermarkUnderKillStorms)
                 << "tenant " << spec.id;
         }
     }
-    // The sweep is meaningless if the mid-storm captures never fired.
-    EXPECT_GE(crashes_fired, seeds / 4);
+    EXPECT_EQ(crashed, seeds);
 }
 
 }  // namespace

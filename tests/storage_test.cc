@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <thread>
 #include <vector>
 
+#include "storage/crash_capture.h"
 #include "storage/crash_sim.h"
 #include "storage/file_storage.h"
 #include "storage/mem_storage.h"
@@ -166,6 +169,113 @@ TEST(CrashSimTest, DirtyTrackingCounts)
     EXPECT_EQ(dev.pending_lines(), 1u);
     PCCHECK_MUST(dev.fence());
     EXPECT_EQ(dev.pending_lines(), 0u);
+}
+
+TEST(CrashCaptureTest, WideMaskKeepsExactlyItsLines)
+{
+    // 100 unflushed 64-byte lines: a mask names lines past bit 64.
+    constexpr std::size_t kLines = 100;
+    CrashSimStorage dev(kLines * 64, StorageKind::kPmemNt);
+    const auto fresh = pattern(kLines * 64, 1);
+    PCCHECK_MUST(dev.write(0, fresh.data(), fresh.size()));
+    const CrashSnapshot snap = dev.snapshot();
+    ASSERT_EQ(snap.lines.size(), kLines);
+    const std::vector<std::size_t> kept = {0, 63, 64, 65, 99};
+    LineMask mask;
+    for (std::size_t line : kept) {
+        mask.keep(line);
+    }
+    EXPECT_EQ(crash_clause(snap.op_index, mask),
+              "crash@1:0x8000000038000000000000001");
+    const std::vector<std::uint8_t> image = materialize(snap, mask);
+    for (std::size_t line = 0; line < kLines; ++line) {
+        const bool keep =
+            std::find(kept.begin(), kept.end(), line) != kept.end();
+        for (Bytes b = line * 64; b < (line + 1) * 64; ++b) {
+            ASSERT_EQ(image[b], keep ? fresh[b] : 0) << "line " << line;
+        }
+    }
+}
+
+TEST(CrashCaptureTest, ConcurrentCommitsNeverOutrunTheirData)
+{
+    // Each thread writes, persists and fences a data line, then a
+    // commit line naming that round. Every recorded state, under every
+    // mask, must show each commit line no newer than its data line:
+    // a state copied in pieces while other threads run breaks this.
+    constexpr int kThreads = 4;
+    constexpr int kRounds = 25;
+    constexpr Bytes kLine = 64;
+    CrashSimStorage dev(2 * kThreads * kLine, StorageKind::kPmemNt);
+    CrashTrace trace;
+    {
+        SnapshotRecorder recorder(dev, &trace);
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&dev, t] {
+                const Bytes data = 2 * t * kLine;
+                const Bytes commit = data + kLine;
+                for (int r = 1; r <= kRounds; ++r) {
+                    const std::vector<std::uint8_t> line(
+                        kLine, static_cast<std::uint8_t>(r));
+                    for (const Bytes off : {data, commit}) {
+                        PCCHECK_MUST(dev.write(off, line.data(), kLine));
+                        PCCHECK_MUST(dev.persist(off, kLine));
+                        PCCHECK_MUST(dev.fence());
+                    }
+                }
+            });
+        }
+        for (std::thread& thread : threads) {
+            thread.join();
+        }
+    }
+    ASSERT_EQ(trace.size(),
+              static_cast<std::size_t>(kThreads * kRounds * 6));
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        const CrashSnapshot& snap = trace[i];
+        ASSERT_EQ(snap.op_index, i);  // each op once, in lock order
+        // At most one unflushed line per thread: try every mask.
+        ASSERT_LE(snap.lines.size(), static_cast<std::size_t>(kThreads));
+        for (std::uint64_t m = 0; m < (1ULL << snap.lines.size()); ++m) {
+            const std::vector<std::uint8_t> image = materialize(snap, m);
+            for (int t = 0; t < kThreads; ++t) {
+                const Bytes data = 2 * t * kLine;
+                ASSERT_LE(image[data + kLine], image[data])
+                    << "thread " << t << " " << crash_clause(i, m);
+            }
+        }
+    }
+}
+
+TEST(CrashCaptureTest, SamplerKeepsEachStateAtOrAfterItsMarkEquallyOften)
+{
+    // Three ops before the mark, nine after: ten states to draw from.
+    constexpr int kDraws = 4000;
+    std::vector<int> kept(10, 0);
+    const std::uint8_t byte = 1;
+    for (int seed = 0; seed < kDraws; ++seed) {
+        CrashSimStorage dev(4096, StorageKind::kPmemNt);
+        for (int op = 0; op < 3; ++op) {
+            PCCHECK_MUST(dev.write(0, &byte, 1));
+        }
+        CrashPointSampler sampler(dev, static_cast<std::uint64_t>(seed));
+        for (int op = 0; op < 9; ++op) {
+            PCCHECK_MUST(dev.write(64 * (op + 1), &byte, 1));
+        }
+        const CrashPoint point = sampler.take();
+        ASSERT_EQ(point.mark, 3u);
+        ASSERT_EQ(point.states, 10u);
+        ASSERT_GE(point.state.op_index, point.mark);
+        ASSERT_LT(point.state.op_index, point.mark + point.states);
+        // The kept state is the one its op left.
+        ASSERT_EQ(point.state.lines.size(), point.state.op_index - 2);
+        ++kept[point.state.op_index - point.mark];
+    }
+    for (int count : kept) {
+        EXPECT_GT(count, kDraws / 10 * 3 / 4);
+        EXPECT_LT(count, kDraws / 10 * 5 / 4);
+    }
 }
 
 TEST(FileStorageTest, PersistsAcrossReopen)

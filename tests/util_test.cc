@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 #include <time.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <thread>
 #include <vector>
@@ -290,7 +292,11 @@ TEST(CsvTest, EscapesSpecialCharacters)
 
 TEST(CsvTest, WritesHeaderAndRows)
 {
-    const std::string path = "/tmp/pccheck_csv_test.csv";
+    // One file per process: concurrent util_test runs must not share it.
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("pccheck_csv_test." + std::to_string(::getpid()) + ".csv"))
+            .string();
     {
         CsvWriter writer(path, {"a", "b"});
         writer.row({"1", "2"});
