@@ -138,7 +138,15 @@ RecoveryPlanner::salvage_local(SlotStore& store,
     // now holding the only valid local copy, and hide the salvaged
     // record behind the quarantine — local recovery dead despite a
     // good local copy.
+    //
+    // The records below are a second read, and a read that lies hides
+    // a record, so a slot the survey saw referenced stays referenced.
     std::unordered_set<std::uint32_t> referenced;
+    for (const RecoveryCandidate& candidate : planned->report) {
+        if (candidate.local) {
+            referenced.insert(candidate.slot);
+        }
+    }
     std::unordered_set<std::uint32_t> newer_referenced;
     std::optional<std::uint32_t> same_counter_slot;
     const auto records =

@@ -224,8 +224,26 @@ void SegmentLog::run_flusher()
             }
             batch_.swap(queue_);
         }
-        flush_batch(batch_);
-        batch_.clear();
+        // One commit per rank: each tenant's oldest record, then each
+        // one's next, and so on.
+        while (!batch_.empty()) {
+            rank_.clear();
+            std::size_t kept = 0;
+            for (SegmentRecord* record : batch_) {
+                const bool tenant_taken = std::any_of(
+                    rank_.begin(), rank_.end(),
+                    [record](const SegmentRecord* taken) {
+                        return taken->tenant == record->tenant;
+                    });
+                if (tenant_taken) {
+                    batch_[kept++] = record;
+                } else {
+                    rank_.push_back(record);
+                }
+            }
+            batch_.resize(kept);
+            flush_batch(rank_);
+        }
     }
 }
 

@@ -210,6 +210,13 @@ struct SegmentRecord {
  * drains the queue in batches, each group-committed under a single
  * persist/fence pair. A caller never flushes another caller's
  * records.
+ *
+ * The flusher commits a batch rank by rank: each tenant's oldest
+ * record first, then each one's next, and so on. A tenant's older
+ * record thus becomes durable one commit before its newer one, not
+ * with it, and a commit holds at most one record per tenant, so the
+ * shard's other writes queue between two ranks instead of behind
+ * both.
  */
 class SegmentLog {
   public:
@@ -246,8 +253,9 @@ class SegmentLog {
 
     /**
      * Queue @p record for the flusher and return at once. Its verdict
-     * arrives through record->on_done, on the flusher thread. Records
-     * are flushed in queue order.
+     * arrives through record->on_done, on the flusher thread. A
+     * tenant's records are flushed, and get their verdicts, in the
+     * order they were queued.
      */
     void submit(SegmentRecord* record) PCCHECK_EXCLUDES(mu_);
 
@@ -376,6 +384,7 @@ class SegmentLog {
     /** Flusher-owned from here to the hooks (format() writes them
      *  before the first record is queued). */
     std::vector<SegmentRecord*> batch_;  ///< swapped with queue_
+    std::vector<SegmentRecord*> rank_;   ///< the rank being committed
     std::uint32_t active_ = 0;
     Bytes cursor_ = 0;  ///< segment-relative next record offset
     /** The active segment is sealed and only its advance is pending

@@ -213,11 +213,13 @@ class CheckpointService::TenantSession : public Checkpointer {
 
 /**
  * One coalesced tenant's session: admission, then a GPU→host snapshot
- * into the session's one staging buffer, queued as a record for the
- * shard's SegmentLog flusher. The training thread waits only for that
- * buffer — i.e. while its previous record is still in flight — and
- * for the copy, so a tenant keeps at most one checkpoint in flight.
- * The record becomes durable behind it; finish() drains it.
+ * into a free staging buffer, queued as that buffer's record for the
+ * shard's SegmentLog flusher. The session owns N =
+ * spec.checkpoint.concurrent_checkpoints buffers, each with its own
+ * record, allocated here at attach. The training thread waits only
+ * while all N records are in flight — PCcheck's bounded backpressure,
+ * the same N as a big tenant's slots — and for the copy. The records
+ * become durable behind it; finish() drains every one of them.
  */
 class CheckpointService::CoalescedSession final : public TenantSession {
   public:
@@ -226,12 +228,18 @@ class CheckpointService::CoalescedSession final : public TenantSession {
         : TenantSession(service, spec, shard),
           state_(&state),
           clock_(&clock),
-          scratch_(state.size())
+          staging_(static_cast<std::size_t>(
+              spec.checkpoint.concurrent_checkpoints)),
+          in_flight_(staging_.size(), false)
     {
-        record_.tenant = spec.id;
-        record_.data = scratch_.data();
-        record_.data_len = scratch_.size();
-        record_.on_done = [this] { on_record_done(); };
+        for (std::size_t i = 0; i < staging_.size(); ++i) {
+            Staging& staging = staging_[i];
+            staging.scratch.resize(state.size());
+            staging.record.tenant = spec.id;
+            staging.record.data = staging.scratch.data();
+            staging.record.data_len = staging.scratch.size();
+            staging.record.on_done = [this, i] { on_record_done(i); };
+        }
     }
 
     ~CoalescedSession() override { finish(); }
@@ -255,25 +263,32 @@ class CheckpointService::CoalescedSession final : public TenantSession {
             return;  // over budget: skip, never stall
         }
         const Seconds t0 = clock_->now();
+        // The flusher hands this tenant's verdicts back in the order
+        // it queued the records, so the next buffer in turn holds the
+        // oldest: it is free as soon as fewer than N are in flight.
+        const std::size_t i = next_;
+        next_ = (next_ + 1) % staging_.size();
         {
             MutexLock lock(mu_);
-            while (in_flight_) {
+            while (in_flight_[i]) {
                 cv_.wait(mu_);
             }
-            in_flight_ = true;
-            request_time_ = t0;
+            in_flight_[i] = true;
         }
-        state_->gpu().copy_to_host(scratch_.data(), state_->device_ptr(),
-                                   0, scratch_.size(),
+        Staging& staging = staging_[i];
+        staging.request_time = t0;
+        state_->gpu().copy_to_host(staging.scratch.data(),
+                                   state_->device_ptr(), 0,
+                                   staging.scratch.size(),
                                    /*pinned=*/false);
-        record_.counter = ++counter_;
-        record_.iteration = iteration;
+        staging.record.counter = ++counter_;
+        staging.record.iteration = iteration;
         const Seconds stall = clock_->now() - t0;
         {
             MutexLock lock(mu_);
             stall_time_ += stall;
         }
-        shard.segments->submit(&record_);
+        shard.segments->submit(&staging.record);
     }
 
     void request_delta(std::uint64_t) override {}
@@ -281,8 +296,10 @@ class CheckpointService::CoalescedSession final : public TenantSession {
     void finish() override
     {
         MutexLock lock(mu_);
-        while (in_flight_) {
-            cv_.wait(mu_);
+        for (std::size_t i = 0; i < in_flight_.size(); ++i) {
+            while (in_flight_[i]) {
+                cv_.wait(mu_);
+            }
         }
     }
 
@@ -299,35 +316,46 @@ class CheckpointService::CoalescedSession final : public TenantSession {
     }
 
   private:
-    /** The flusher's verdict on record_ (flusher thread). */
-    void on_record_done()
+    /** One staging buffer and the record that carries it. Like the
+     *  record, it is the flusher's from submit() to the verdict. */
+    struct Staging {
+        /** The snapshot: the record's payload while in flight. */
+        std::vector<std::uint8_t> scratch;
+        SegmentRecord record;
+        Seconds request_time = 0;
+    };
+
+    /** The flusher's verdict on buffer @p i's record (flusher thread). */
+    void on_record_done(std::size_t i)
     {
         const Seconds now = clock_->now();
+        const Staging& staging = staging_[i];
         MutexLock lock(mu_);
-        if (record_.result.ok()) {
+        if (staging.record.result.ok()) {
             ++completed_;
-            latency_.add(now - request_time_);
+            latency_.add(now - staging.request_time);
         } else {
             ++aborted_;
         }
-        in_flight_ = false;
+        in_flight_[i] = false;
         // Notify under the lock: finish(), and the destructor behind
-        // it, return as soon as in_flight_ is false.
+        // it, return as soon as no buffer is in flight.
         cv_.notify_all();
     }
 
     TrainingState* state_;
     const Clock* clock_;
-    /** The one staging buffer: record_'s payload while in flight. */
-    std::vector<std::uint8_t> scratch_;
-    SegmentRecord record_;
+    /** N buffers, sized once: records point into them while queued. */
+    std::vector<Staging> staging_;
+    /** Buffer the next request takes (training thread only). */
+    std::size_t next_ = 0;
     /** Tenant-monotonic checkpoint counter (training thread only). */
     std::uint64_t counter_ = 0;
 
     mutable Mutex mu_;
-    CondVar cv_;  ///< in_flight_ cleared
-    bool in_flight_ PCCHECK_GUARDED_BY(mu_) = false;
-    Seconds request_time_ PCCHECK_GUARDED_BY(mu_) = 0;
+    CondVar cv_;  ///< an in_flight_ flag cleared
+    /** Buffer i's record is queued or being flushed. */
+    std::vector<bool> in_flight_ PCCHECK_GUARDED_BY(mu_);
     std::uint64_t requested_ PCCHECK_GUARDED_BY(mu_) = 0;
     std::uint64_t completed_ PCCHECK_GUARDED_BY(mu_) = 0;
     std::uint64_t aborted_ PCCHECK_GUARDED_BY(mu_) = 0;

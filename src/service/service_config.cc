@@ -97,9 +97,8 @@ ConfigDiagnostics ServiceConfig::validate() const
                            "(raise coalescer.segment_bytes or lower "
                            "coalescer.threshold_bytes)");
             }
-        } else {
-            diag.merge(prefix + ".checkpoint", spec.checkpoint.validate());
         }
+        diag.merge(prefix + ".checkpoint", spec.checkpoint.validate());
     }
     return diag;
 }

@@ -39,8 +39,10 @@ struct TenantSpec {
     /** QoS weight: share of the shard budget relative to the other
      *  tenants on the shard (buckets + throttle turns scale with it). */
     double weight = 1.0;
-    /** Orchestrator knobs for tenants large enough for a private slot
-     *  arena; ignored for coalesced tenants. */
+    /** Orchestrator knobs, validated for every tenant. A tenant with
+     *  a private slot arena uses all of them. A coalesced tenant uses
+     *  only concurrent_checkpoints: its N staging buffers, so it keeps
+     *  up to N records in flight. */
     PCcheckConfig checkpoint;
 };
 

@@ -11,11 +11,17 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <map>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/recovery_planner.h"
 #include "core/slot_store.h"
+#include "faults/fault.h"
+#include "faults/faulty_storage.h"
 #include "storage/mem_storage.h"
 #include "util/check.h"
 #include "util/crc32.h"
@@ -67,6 +73,11 @@ class FakeSource final : public RecoverySource {
         images_[counter] = image_for(counter);
     }
     void fail_fetches() { serve_ = false; }
+    /** Run @p hook at the start of every fetch. */
+    void before_fetch(std::function<void()> hook)
+    {
+        before_fetch_ = std::move(hook);
+    }
 
     const char* name() const override { return "fake"; }
 
@@ -91,6 +102,9 @@ class FakeSource final : public RecoverySource {
                std::vector<std::uint8_t>* out) override
     {
         ++fetches_;
+        if (before_fetch_) {
+            before_fetch_();
+        }
         auto it = images_.find(candidate.counter);
         if (!serve_ || it == images_.end()) {
             return false;
@@ -105,6 +119,7 @@ class FakeSource final : public RecoverySource {
     double cost_;
     bool serve_ = true;
     int fetches_ = 0;
+    std::function<void()> before_fetch_;
     std::map<std::uint64_t, std::vector<std::uint8_t>> images_;
 };
 
@@ -257,6 +272,56 @@ TEST(RecoveryPlannerTest, RefusesSalvageThatWouldRiskALiveCopy)
     EXPECT_EQ(planned->slots_quarantined, 0u);
 
     // Local state is untouched: both copies still recoverable.
+    const SlotStore reopened = SlotStore::open(device);
+    EXPECT_TRUE(reopened.quarantined_slots().empty());
+    RecoveryPlanner local_only(&device);
+    std::vector<std::uint8_t> local_out;
+    const auto relocal = local_only.recover(&local_out);
+    ASSERT_TRUE(relocal.has_value());
+    EXPECT_EQ(relocal->result.counter, 2u);
+    EXPECT_EQ(local_out, image_for(2));
+}
+
+// Regression: the salvage re-reads the pointer records, and a read
+// that lies there hides a record. Both slots hold live copies (1 and
+// 2) and the peer holds 3, so the survey finds no slot to spare. The
+// re-read of record 0, counter 2's, is made unreadable: the salvage
+// must still see slot 0 as referenced and refuse, never overwrite the
+// newest local copy with 3's bytes.
+TEST(RecoveryPlannerTest, SalvageKeepsSlotsTheSurveySawReferenced)
+{
+    auto injector = std::make_shared<FaultInjector>(1);
+    FaultyStorage device(std::make_unique<MemStorage>(
+                             SlotStore::required_size(kSlots, kState)),
+                         injector);
+    SlotStore store = SlotStore::format(device, kSlots, kState);
+    publish(store, device, 1);
+    publish(store, device, 2);
+    ASSERT_EQ(2 % kSlots, 0u);  // counter 2: record 0, slot 0
+
+    // The peer's fetch arms one unreadable read at the next storage
+    // op: the salvage's first pointer-record read.
+    FakeSource peer;
+    peer.offer(3);
+    peer.before_fetch([&injector] {
+        injector->set_plan(FaultPlan::parse(
+            "storage.read:unreadable@nth=" +
+            std::to_string(injector->ops() + 1) + ",limit=1"));
+    });
+    RecoveryPlanner planner(&device);
+    planner.add_source(&peer);
+    std::vector<std::uint8_t> out;
+    const auto planned = planner.recover(&out);
+    ASSERT_TRUE(planned.has_value());
+    EXPECT_EQ(injector->injected(), 1u);
+    EXPECT_EQ(planned->result.counter, 3u);
+    EXPECT_EQ(out, image_for(3));
+    EXPECT_TRUE(planned->from_replica);
+    EXPECT_FALSE(planned->salvaged);
+    EXPECT_EQ(planned->slots_quarantined, 0u);
+
+    // Both local copies survive: the local floor is still counter 2.
+    injector->set_plan(FaultPlan());
     const SlotStore reopened = SlotStore::open(device);
     EXPECT_TRUE(reopened.quarantined_slots().empty());
     RecoveryPlanner local_only(&device);

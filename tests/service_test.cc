@@ -20,6 +20,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -481,6 +482,80 @@ TEST(SegmentLogTest, DurableHookNeverRunsOnAnAppendersThread)
     EXPECT_EQ(hook_threads.size(), 1u);
     for (const std::thread::id& caller : callers) {
         EXPECT_EQ(hook_threads.count(caller), 0u);
+    }
+}
+
+TEST(SegmentLogTest, CommitHoldsOneRecordPerTenant)
+{
+    // The pacer holds A1's commit while A2, A3 and B1 queue. The next
+    // flush commits A2 and B1, each tenant's oldest, and then A3: A's
+    // records land in the order A queued them, never two at once.
+    const SegmentLogConfig config = tiny_segments();
+    MemStorage device(SegmentLog::required_size(config));
+    SegmentLog log(device, 0, config);
+    ASSERT_TRUE(log.format().ok());
+    constexpr std::uint64_t kA = 1;
+    constexpr std::uint64_t kB = 2;
+
+    Mutex mu;
+    CondVar cv;
+    bool hold = true;
+    std::vector<Bytes> paced;
+    std::vector<std::array<std::uint64_t, 2>> durable;
+    int done = 0;
+    log.set_pacer([&mu, &cv, &hold, &paced](Bytes bytes) {
+        MutexLock lock(mu);
+        paced.push_back(bytes);
+        cv.notify_all();
+        while (hold) {
+            cv.wait(mu);
+        }
+    });
+    log.set_durable_hook([&mu, &durable](std::uint64_t tenant,
+                                         std::uint64_t counter,
+                                         std::uint64_t) {
+        MutexLock lock(mu);
+        durable.push_back({tenant, counter});
+    });
+
+    const auto data = pattern(256, 5);
+    const std::array<std::array<std::uint64_t, 2>, 4> queued = {
+        {{kA, 1}, {kA, 2}, {kA, 3}, {kB, 1}}};
+    std::array<SegmentRecord, 4> records;
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        records[i].tenant = queued[i][0];
+        records[i].counter = queued[i][1];
+        records[i].iteration = queued[i][1];
+        records[i].data = data.data();
+        records[i].data_len = data.size();
+        records[i].on_done = [&mu, &cv, &done] {
+            MutexLock lock(mu);
+            ++done;
+            cv.notify_all();
+        };
+    }
+    log.submit(&records[0]);
+    {
+        MutexLock lock(mu);
+        while (paced.empty()) {
+            cv.wait(mu);
+        }
+    }
+    for (std::size_t i = 1; i < records.size(); ++i) {
+        log.submit(&records[i]);
+    }
+    MutexLock lock(mu);
+    hold = false;
+    cv.notify_all();
+    while (done < 4) {
+        cv.wait(mu);
+    }
+    const Bytes record = SegmentLog::record_bytes(data.size());
+    EXPECT_EQ(paced, (std::vector<Bytes>{record, 2 * record, record}));
+    EXPECT_EQ(durable, (std::vector<std::array<std::uint64_t, 2>>{
+                           {kA, 1}, {kA, 2}, {kB, 1}, {kA, 3}}));
+    for (const SegmentRecord& r : records) {
+        EXPECT_TRUE(r.result.ok());
     }
 }
 
@@ -998,6 +1073,15 @@ TEST(ServiceConfigTest, ValidateCatchesBadKnobs)
     config.qos.enabled = true;
     config.qos.device_budget_bytes_per_sec = 2e9;
     EXPECT_TRUE(config.validate().ok());
+
+    // A coalesced tenant's N sizes its staging buffers, so its
+    // orchestrator knobs are checked like a big tenant's.
+    TenantSpec& small = config.tenants.back();
+    ASSERT_TRUE(tenant_coalesced(small, config.coalescer));
+    small.checkpoint.concurrent_checkpoints = 0;
+    EXPECT_FALSE(config.validate().ok());
+    small.checkpoint.concurrent_checkpoints = 0xFFFF;
+    EXPECT_FALSE(config.validate().ok());
 }
 
 // ---------------------------------------------------------------------
@@ -1228,29 +1312,44 @@ TEST(CheckpointServiceTest, CoalescedRequestWaitsOnlyForItsSnapshot)
     EXPECT_GE(stats.checkpoint_latency.mean(), pacing * 0.9);
 }
 
-TEST(CheckpointServiceTest, CoalescedTenantKeepsOneRecordInFlight)
+TEST(CheckpointServiceTest, CoalescedTenantKeepsNRecordsInFlight)
 {
-    ServiceFixture fixture(slow_shard_config());
-    const Seconds pacing = record_pacing(fixture.config);
-    CheckpointService service(fixture.config, fixture.backends);
-    SimGpu gpu(fast_gpu());
-    TrainingState state(gpu, 4 * kKiB);
-    Checkpointer* session = service.attach_tenant(1, state);
+    for (const int n : {1, 2}) {
+        SCOPED_TRACE("concurrent_checkpoints = " + std::to_string(n));
+        ServiceConfig config = slow_shard_config();
+        config.qos.burst_bytes = kMiB;  // admission takes N + 1 requests
+        config.tenants[0].checkpoint.concurrent_checkpoints = n;
+        ServiceFixture fixture(std::move(config));
+        const Seconds pacing = record_pacing(fixture.config);
+        CheckpointService service(fixture.config, fixture.backends);
+        SimGpu gpu(fast_gpu());
+        TrainingState state(gpu, 4 * kKiB);
+        Checkpointer* session = service.attach_tenant(1, state);
 
-    const std::uint64_t first = iter_base(1) + 1;
-    const std::uint64_t second = iter_base(1) + 2;
-    state.stamp(first);
-    session->request_checkpoint(first);
-    state.stamp(second);
-    Stopwatch watch;
-    session->request_checkpoint(second);
-    // The staging buffer was busy: the second request waited for the
-    // first record to become durable, and the second is now pacing.
-    EXPECT_GT(watch.elapsed(), pacing / 2);
-    EXPECT_EQ(service.watermark(1).iteration, first);
-    session->finish();
-    EXPECT_EQ(service.watermark(1).iteration, second);
-    EXPECT_EQ(session->stats().completed, 2u);
+        const std::uint64_t first = iter_base(1) + 1;
+        const std::uint64_t last = first + static_cast<std::uint64_t>(n);
+        Stopwatch watch;
+        for (std::uint64_t iteration = first; iteration < last;
+             ++iteration) {
+            state.stamp(iteration);
+            watch.reset();
+            session->request_checkpoint(iteration);
+            // A staging buffer was free: no wait for a record.
+            EXPECT_LT(watch.elapsed(), pacing / 4);
+        }
+        state.stamp(last);
+        watch.reset();
+        session->request_checkpoint(last);
+        // All N buffers were busy: the request waited for the first
+        // record to become durable, and the last one is still pacing.
+        EXPECT_GT(watch.elapsed(), pacing / 2);
+        EXPECT_GE(service.watermark(1).iteration, first);
+        EXPECT_LT(service.watermark(1).iteration, last);
+        session->finish();
+        EXPECT_EQ(service.watermark(1).iteration, last);
+        EXPECT_EQ(session->stats().completed,
+                  static_cast<std::uint64_t>(n) + 1);
+    }
 }
 
 TEST(CheckpointServiceTest, KillTenantStopsTrafficOthersContinue)
